@@ -46,8 +46,7 @@ from .lattice import (
 from .markov import MBParams, mb_pmf
 from .weighted import (
     WeightBasis,
-    lift,
-    wconvolve,
+    WeightedMeasure,
     weighted_sum_distribution,
     wkolmogorov_distance,
 )
@@ -420,13 +419,6 @@ def run_example(
     )
 
 
-def _lift_product(parts: Sequence[LatticeMeasure], basis: WeightBasis):
-    acc = lift(parts[0], 1, basis)
-    for i, part in enumerate(parts[1:], start=2):
-        acc = wconvolve(acc, lift(part, i, basis))
-    return acc
-
-
 def run_markov(config: ExperimentConfig) -> SweepResult:
     """Sweep the exact Kolmogorov distance between a weighted sum of
     Markov-Binomial blocks and its signed compound-geometric approximant.
@@ -474,11 +466,9 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
             tag = f"n={n}: {w}"
             if tag not in warnings:
                 warnings.append(tag)
-        # The approximant parts are signed measures, so they are lifted and
-        # convolved directly instead of going through the probability-only
-        # block-sum constructor.
-        h_law = _lift_product(h_parts, basis)
-        d_law = _lift_product(d_parts, basis)
+        # Each chain's law is one factor of the weighted measure.
+        h_law = WeightedMeasure(basis, tuple(h_parts))
+        d_law = WeightedMeasure(basis, tuple(d_parts))
         distance = wkolmogorov_distance(h_law, d_law)
         keys, values = _flatten_components(report)
         if columns is None:

@@ -1,26 +1,28 @@
-"""Measures on weighted integer combinations of several lattices.
+"""Laws of weighted sums ``w_1 S_1 + ... + w_N S_N`` of independent lattice sums.
 
-A weight basis fixes positive reals ``w_1, ..., w_N``; support points are
-integer coefficient vectors ``(c_1, ..., c_N)`` standing for the real value
-``sum_i c_i w_i``.  Coefficients are stored exactly, so convolution never
-loses support identity to float rounding.  Only when a cumulative function
-is evaluated (Kolmogorov distance, concentration) are nearby real values
-merged, with a tolerance proportional to the largest value in play.
+A weight basis fixes positive reals ``w_1, ..., w_N``.  A weighted measure
+stores one lattice measure per weight; its law is their product pushed
+onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
+acts weight by weight on the integer lattice, so it never loses support
+identity to float rounding.  Real-valued atoms are formed only when a
+cumulative function is evaluated (Kolmogorov distance, concentration),
+and there nearby real values are merged, with a tolerance proportional to
+the largest value in play.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeMeasure, PROBABILITY_MASS_TOL, power
+from .lattice import LatticeMeasure, PROBABILITY_MASS_TOL, convolve, delta, power
 
 __all__ = [
     "WeightBasis",
-    "SupportPoint",
     "WeightedMeasure",
     "ResourceLimitError",
     "SUPPORT_LIMIT",
@@ -47,7 +49,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightBasis:
-    """Ordered positive weights defining the value map of coefficient vectors."""
+    """Ordered positive weights; weight i scales the i-th lattice factor."""
 
     weights: tuple[float, ...]
 
@@ -68,64 +70,60 @@ class WeightBasis:
         """max weight / min weight; enters every weighted bound factor."""
         return max(self.weights) / min(self.weights)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class SupportPoint:
-    """Exact support point: integer coefficients over a weight basis."""
-
-    coeffs: tuple[int, ...]
-
-    def value(self, basis: WeightBasis) -> float:
-        if len(self.coeffs) != basis.size:
-            raise ValueError("coefficient length does not match basis size")
-        return float(np.dot(self.coeffs, basis.as_array()))
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedMeasure:
-    """Finite signed measure whose atoms sit at weighted integer combinations.
+    """Finite signed measure of ``sum_i w_i X_i`` for independent lattice ``X_i``.
 
-    ``coeffs`` has one row per atom (lexicographically sorted, unique);
-    ``masses`` is aligned with it.  Construct via :func:`lift` or
-    :meth:`from_entries`.
+    ``factors`` holds one lattice measure per weight of ``basis``, in weight
+    order, with ``delta(0)`` on weights that carry nothing; the measure is
+    their product pushed through ``(k_1, ..., k_N) -> sum_i k_i w_i``.
+    Construct via :func:`lift` and :func:`wconvolve`, or directly from one
+    law per weight.  Real-valued atoms are built once, on first use, by
+    :attr:`masses`, :meth:`values` and everything reading them.
     """
 
     basis: WeightBasis
-    coeffs: np.ndarray
-    masses: np.ndarray
-    error_budget: float = 0.0
+    factors: tuple[LatticeMeasure, ...]
 
     def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.int64)
-        m = np.array(self.masses, dtype=np.float64)
-        if c.ndim != 2 or c.shape[1] != self.basis.size or c.shape[0] != m.size:
-            raise ValueError("coefficient matrix shape does not match basis/masses")
-        c.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "masses", m)
-
-    @classmethod
-    def from_entries(
-        cls,
-        basis: WeightBasis,
-        entries: Iterable[tuple[Sequence[int], float]],
-        error_budget: float = 0.0,
-    ) -> "WeightedMeasure":
-        pairs = list(entries)
-        if not pairs:
-            return cls(
-                basis,
-                np.zeros((0, basis.size), dtype=np.int64),
-                np.array([]),
-                error_budget,
+        factors = tuple(self.factors)
+        if len(factors) != self.basis.size:
+            raise ValueError("need exactly one factor per weight of the basis")
+        count = math.prod(len(f) for f in factors)
+        if count > SUPPORT_LIMIT:
+            raise ResourceLimitError(
+                f"weighted support would hold {count} points (limit {SUPPORT_LIMIT})"
             )
-        coeffs = np.array([list(c) for c, _ in pairs], dtype=np.int64)
-        masses = np.array([m for _, m in pairs], dtype=np.float64)
-        return _wcanonical(basis, coeffs, masses, error_budget)
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def error_budget(self) -> float:
+        """The factors' budgets folded as a convolution of their products."""
+        budget, tv = 0.0, 1.0
+        for f in self.factors:
+            budget = budget * f.tv + f.error_budget * tv + budget * f.error_budget
+            tv *= f.tv
+        return budget
+
+    @cached_property
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atom values and masses in lexicographic order of the factor
+        supports, with products that are exactly 0.0 dropped."""
+        values = np.zeros(1)
+        masses = np.ones(1)
+        for f, w in zip(self.factors, self.basis.weights):
+            values = np.add.outer(values, f.support * w).ravel()
+            masses = np.multiply.outer(masses, f.masses).ravel()
+        keep = masses != 0.0
+        values, masses = values[keep], masses[keep]
+        values.setflags(write=False)
+        masses.setflags(write=False)
+        return values, masses
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self._atoms[1]
 
     @property
     def total_mass(self) -> float:
@@ -144,45 +142,17 @@ class WeightedMeasure:
         return abs(self.total_mass - 1.0) <= PROBABILITY_MASS_TOL + self.error_budget
 
     def values(self) -> np.ndarray:
-        """Real positions of the atoms, in storage order."""
-        return self.coeffs @ self.basis.as_array()
-
-    def entries(self) -> Iterator[tuple[SupportPoint, float]]:
-        for row, m in zip(self.coeffs.tolist(), self.masses.tolist()):
-            yield SupportPoint(tuple(row)), m
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": list(self.basis.weights),
-            "entries": [[row, m] for row, m in zip(self.coeffs.tolist(), self.masses.tolist())],
-        }
+        """Real positions of the atoms, aligned with :attr:`masses`."""
+        return self._atoms[0]
 
     def __len__(self) -> int:
         return int(self.masses.size)
 
     def __repr__(self) -> str:
         return (
-            f"WeightedMeasure({self.masses.size} atoms over weights "
+            f"WeightedMeasure({len(self)} atoms over weights "
             f"{self.basis.weights}, mass={self.total_mass:.6g})"
         )
-
-
-def _wcanonical(
-    basis: WeightBasis, coeffs: np.ndarray, masses: np.ndarray, budget: float
-) -> WeightedMeasure:
-    """Merge exactly equal coefficient rows and drop exact-zero masses."""
-    if coeffs.shape[0] > SUPPORT_LIMIT:
-        raise ResourceLimitError(
-            f"weighted support would hold {coeffs.shape[0]} points "
-            f"(limit {SUPPORT_LIMIT})"
-        )
-    if coeffs.shape[0]:
-        uniq, inverse = np.unique(coeffs, axis=0, return_inverse=True)
-        merged = np.zeros(uniq.shape[0], dtype=np.float64)
-        np.add.at(merged, inverse.ravel(), masses)
-        keep = merged != 0.0
-        coeffs, masses = uniq[keep], merged[keep]
-    return WeightedMeasure(basis, coeffs, masses, budget)
 
 
 def lift(f: LatticeMeasure, index: int, basis: WeightBasis) -> WeightedMeasure:
@@ -190,31 +160,19 @@ def lift(f: LatticeMeasure, index: int, basis: WeightBasis) -> WeightedMeasure:
     index = int(index)
     if not 1 <= index <= basis.size:
         raise IndexError(f"weight index {index} out of range 1..{basis.size}")
-    coeffs = np.zeros((f.support.size, basis.size), dtype=np.int64)
-    coeffs[:, index - 1] = f.support
-    return WeightedMeasure(basis, coeffs, f.masses.copy(), f.error_budget)
+    factors = [delta(0)] * basis.size
+    factors[index - 1] = f
+    return WeightedMeasure(basis, tuple(factors))
 
 
 def wconvolve(a: WeightedMeasure, b: WeightedMeasure) -> WeightedMeasure:
-    """Convolution of weighted measures over a shared basis (exact on coefficients)."""
+    """Convolution of weighted measures over a shared basis, weight by weight:
+    (mu_1 x mu_2) * (nu_1 x nu_2) = (mu_1 * nu_1) x (mu_2 * nu_2)."""
     if a.basis.weights != b.basis.weights:
         raise ValueError("weighted convolution requires a common basis")
-    budget = (
-        a.error_budget * b.tv
-        + b.error_budget * a.tv
-        + a.error_budget * b.error_budget
+    return WeightedMeasure(
+        a.basis, tuple(convolve(f, g) for f, g in zip(a.factors, b.factors))
     )
-    if a.masses.size == 0 or b.masses.size == 0:
-        return WeightedMeasure.from_entries(a.basis, [], budget)
-    pair_count = a.masses.size * b.masses.size
-    if pair_count > SUPPORT_LIMIT:
-        raise ResourceLimitError(
-            f"weighted convolution would touch {pair_count} point pairs "
-            f"(limit {SUPPORT_LIMIT})"
-        )
-    coeffs = (a.coeffs[:, None, :] + b.coeffs[None, :, :]).reshape(-1, a.basis.size)
-    masses = (a.masses[:, None] * b.masses[None, :]).ravel()
-    return _wcanonical(a.basis, coeffs, masses, budget)
 
 
 def weighted_sum_distribution(

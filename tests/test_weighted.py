@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wsumdist.lattice import (
     char_fn,
+    convolve,
     delta,
     from_entries,
     kolmogorov_norm,
@@ -30,6 +31,7 @@ from wsumdist.weighted import (
 F = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
 G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
 SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
 BASIS = WeightBasis((1.0, SQRT2))
 
 # Frozen by an exhaustive-enumeration oracle (verify_frozen_constant below).
@@ -54,6 +56,44 @@ def _enumeration_distance(f, g, sizes, weights):
     cdf_f = np.cumsum([fa.get(x, 0.0) for x in grid])
     cdf_g = np.cumsum([ga.get(x, 0.0) for x in grid])
     return float(np.max(np.abs(cdf_f - cdf_g)))
+
+
+# Bases for the random-law properties: one to three weights, with repeated
+# and commensurable ones whose value grids collapse onto shared points.
+PROPERTY_BASES = (
+    (1.0,),
+    (SQRT2,),
+    (1.0, 2.0),
+    (1.0, SQRT2),
+    (SQRT2, SQRT2),
+    (1.0, SQRT2, SQRT3),
+    (1.0, 2.0, 3.0),
+    (SQRT2, 1.0, SQRT2),
+)
+
+
+@st.composite
+def probability_laws(draw):
+    """A probability law on up to three points of 0..4, masses in ninths."""
+    points = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    total = sum(counts)
+    return from_entries({k: c / total for k, c in zip(points, counts)})
+
+
+@st.composite
+def weighted_pairs(draw):
+    """Two laws, a basis and one block size in 1..3 per weight."""
+    weights = draw(st.sampled_from(PROPERTY_BASES))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in weights)
+    return draw(probability_laws()), draw(probability_laws()), weights, sizes
+
+
+def _block_sums(f, sizes, weights):
+    basis = WeightBasis(weights)
+    return weighted_sum_distribution(
+        [(f, n, i + 1) for i, n in enumerate(sizes)], basis
+    )
 
 
 class TestBasis:
@@ -106,6 +146,12 @@ class TestWConvolve:
         other = WeightBasis((1.0, 2.0))
         with pytest.raises(ValueError):
             wconvolve(lift(F, 1, BASIS), lift(G, 1, other))
+
+    def test_budget_folds_like_lattice_convolution(self):
+        a = from_entries({0: 0.25, 1: 0.75}, error_budget=1e-6)
+        b = from_entries({0: -0.5, 2: 1.5}, error_budget=3e-7)
+        out = wconvolve(lift(a, 1, BASIS), lift(b, 2, BASIS))
+        assert out.error_budget == convolve(a, b).error_budget
 
     def test_lift_commutes_with_convolve(self):
         # convolve on the lattice then lift == lift both then wconvolve
@@ -179,6 +225,51 @@ class TestWKolmogorov:
         cb = wkolmogorov_distance(c, b)
         assert ab <= ac + cb + 1e-12
 
+    @given(weighted_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration_oracle(self, case):
+        f, g, weights, sizes = case
+        got = wkolmogorov_distance(
+            _block_sums(f, sizes, weights), _block_sums(g, sizes, weights)
+        )
+        want = _enumeration_distance(f, g, sizes, weights)
+        assert abs(got - want) <= 1e-12
+
+    @given(weighted_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_exactly_symmetric(self, case):
+        f, g, weights, sizes = case
+        a = _block_sums(f, sizes, weights)
+        b = _block_sums(g, sizes, weights)
+        assert wkolmogorov_distance(a, b) == wkolmogorov_distance(b, a)
+
+    @given(weighted_pairs(), st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_common_power_of_two(self, case, exponent):
+        f, g, weights, sizes = case
+        scaled = tuple(math.ldexp(w, exponent) for w in weights)
+        base = wkolmogorov_distance(
+            _block_sums(f, sizes, weights), _block_sums(g, sizes, weights)
+        )
+        moved = wkolmogorov_distance(
+            _block_sums(f, sizes, scaled), _block_sums(g, sizes, scaled)
+        )
+        assert abs(base - moved) <= 1e-12
+
+    @given(
+        probability_laws(),
+        probability_laws(),
+        st.integers(1, 3),
+        st.sampled_from((1.0, SQRT2, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_weight_is_lattice_norm(self, f, g, n, weight):
+        got = wkolmogorov_distance(
+            _block_sums(f, (n,), (weight,)), _block_sums(g, (n,), (weight,))
+        )
+        want = kolmogorov_norm(power(f, n) - power(g, n))
+        assert abs(got - want) <= 1e-12
+
     def test_commensurable_weights_merge(self):
         # with weights (1, 2) the value grid collapses onto integers
         basis = WeightBasis((1.0, 2.0))
@@ -199,9 +290,7 @@ class TestWConcentration:
 
     def test_two_atoms_split(self):
         basis = WeightBasis((1.0, SQRT2))
-        m = WeightedMeasure.from_entries(
-            basis, [((0, 0), 0.5), ((0, 1), 0.5)]
-        )
+        m = lift(from_entries({0: 0.5, 1: 0.5}), 2, basis)
         assert wconcentration(m, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
