@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .lattice import LatticeMeasure, convolve, delta, exp_measure, from_entries
 from .markov import mb_variance
@@ -81,8 +80,9 @@ def nb_component_pmf(
 ) -> LatticeMeasure:
     """Pmf of one of ``n`` iid summands whose sum is NB(r, p_tilde).
 
-    The component is NB(r/n, p_tilde).  Probabilities come from the
-    log-gamma form of the binomial coefficient; the support is cut at the
+    The component is NB(r/n, p_tilde).  Probabilities are exp of
+    lgamma(shape + k) - lgamma(shape) - lgamma(k + 1) + shape log p_tilde +
+    k log q_tilde, with ``math.lgamma``; the support is cut at the
     first point where a geometric domination bound puts the remaining
     tail below ``tail_tol``, and that bound enters the error budget.
     The bound uses the stepwise mass ratio q_tilde (shape + k)/(k + 1),
@@ -105,7 +105,9 @@ def nb_component_pmf(
     while True:
         k = np.arange(start, start + chunk, dtype=np.float64)
         log_pmf = (
-            gammaln(shape + k) - gammaln(shape) - gammaln(k + 1.0)
+            np.array([math.lgamma(shape + j) for j in k])
+            - math.lgamma(shape)
+            - np.array([math.lgamma(j + 1.0) for j in k])
             + shape * log_p + k * log_q
         )
         block = np.exp(log_pmf)

@@ -64,9 +64,13 @@ class TestNbMatch:
 
 class TestNbComponentPmf:
     def test_geometric_closed_form(self):
-        pmf = nb_component_pmf(NegBinParams(r=1.0, p_tilde=0.5), 1, 1e-12)
-        for k in range(20):
-            assert pmf.mass_at(k) == pytest.approx(0.5 ** (k + 1), rel=1e-12)
+        # Shape 1 is the geometric law p_tilde q_tilde^k.
+        for p_tilde in (0.05, 0.3, 0.5, 0.8):
+            pmf = nb_component_pmf(NegBinParams(r=1.0, p_tilde=p_tilde), 1, 1e-13)
+            k = np.arange(pmf.support.size, dtype=np.float64)
+            want = p_tilde * (1.0 - p_tilde) ** k
+            assert np.array_equal(pmf.support, np.arange(k.size))
+            np.testing.assert_allclose(pmf.masses, want, rtol=1e-14, atol=0.0)
 
     def test_zero_mass_is_head(self):
         params = NegBinParams(r=20.0, p_tilde=2.0 / 3.0)

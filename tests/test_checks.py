@@ -10,7 +10,9 @@ from wsumdist.checks import (
     CORE_INEQUALITY_CHECKS,
     CheckReport,
     gen_matched_pair,
+    null_space,
     run_check,
+    simpson,
 )
 from wsumdist.lattice import factorial_moment, tv_norm
 
@@ -115,3 +117,87 @@ class TestGenMatchedPair:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             gen_matched_pair(1, 4)
+
+
+def _moment_matrix(s):
+    """Rows 1, k, k(k-1), ... through order s on the points 0..8."""
+    points = np.arange(9, dtype=np.float64)
+    rows = [np.ones(9)]
+    for k in range(1, s + 1):
+        row = np.ones(9)
+        for shift in range(k):
+            row = row * (points - shift)
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def _random_grids(seed, count):
+    """Seeded odd-length grids, alternately evenly and randomly spaced."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        size = 2 * int(rng.integers(1, 1025)) + 1
+        if i % 2:
+            x = np.sort(rng.uniform(-5.0, 5.0, size))
+        else:
+            x = np.linspace(-np.pi, np.pi, size)
+        yield x, rng.normal(0.0, 1.0, size)
+
+
+class TestSimpson:
+    @staticmethod
+    def _exact(x, c):
+        """Integral over [x[0], x[-1]] of the polynomial with coefficients c."""
+
+        def antiderivative(t):
+            return sum(ci * t ** (i + 1) / (i + 1) for i, ci in enumerate(c))
+
+        return antiderivative(x[-1]) - antiderivative(x[0])
+
+    @pytest.mark.parametrize("size", [3, 5, 2049])
+    def test_exact_on_cubics_evenly_spaced(self, size):
+        x = np.linspace(-2.0, 3.0, size)
+        c = (0.7, -1.3, 2.1, 0.9)
+        y = c[0] + x * (c[1] + x * (c[2] + x * c[3]))
+        assert simpson(y, x) == pytest.approx(self._exact(x, c), rel=1e-13)
+
+    @pytest.mark.parametrize("size", [3, 5, 2049])
+    def test_exact_on_quadratics_unevenly_spaced(self, size):
+        # With unequal panel halves the cubic term no longer cancels.
+        x = np.sort(np.random.default_rng(size).uniform(-2.0, 3.0, size))
+        c = (0.7, -1.3, 2.1)
+        y = c[0] + x * (c[1] + x * c[2])
+        assert simpson(y, x) == pytest.approx(self._exact(x, c), rel=1e-13)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 2048])
+    def test_needs_odd_point_count(self, size):
+        x = np.linspace(0.0, 1.0, size)
+        with pytest.raises(ValueError):
+            simpson(np.ones(size), x)
+
+    def test_bitwise_matches_scipy(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        for x, y in _random_grids(2049, 300):
+            assert simpson(y, x) == float(scipy_integrate.simpson(y, x=x))
+
+
+class TestNullSpace:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_orthonormal_kernel_of_moment_rows(self, s):
+        a = _moment_matrix(s)
+        basis = null_space(a)
+        assert basis.shape == (9, 9 - (s + 1))
+        np.testing.assert_allclose(
+            basis.T @ basis, np.eye(basis.shape[1]), rtol=0.0, atol=1e-13
+        )
+        scale = np.max(np.abs(a))
+        np.testing.assert_allclose(a @ basis, 0.0, rtol=0.0, atol=1e-13 * scale)
+
+    def test_bitwise_matches_scipy(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for s in (1, 2, 3):
+            a = _moment_matrix(s)
+            assert np.array_equal(null_space(a), scipy_linalg.null_space(a))
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            a = rng.normal(0.0, 1.0, (int(rng.integers(1, 9)), 9))
+            assert np.array_equal(null_space(a), scipy_linalg.null_space(a))
