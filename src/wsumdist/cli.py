@@ -7,8 +7,11 @@ Sweeps print a readable table by default or the full JSON payload with
 --json, and write the complete CSV table to --out; repeated runs with the
 same config and seed produce byte-identical CSV and JSON.
 
-Exit codes: 0 on success, 2 when the check suite reports failures, 3 when
-a computation trips the support-size resource guard.
+Exit codes: 0 on success, 1 when the config holds an invalid value or a
+file cannot be read or written (the reason goes to stderr as ``wsumdist:
+error: ...``) or ``fit`` gets an unusable CSV, 2 when the check suite
+reports failures, 3 when a computation trips the support-size resource
+guard.
 """
 
 from __future__ import annotations
@@ -214,7 +217,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "fit":
             return _run_fit(args)
-        cfg = _load_config(args)
+        try:
+            cfg = _load_config(args)
+        except ValueError as exc:
+            sys.stderr.write(f"wsumdist: error: {exc}\n")
+            return 1
         if args.command == "check":
             return _run_check_cmd(cfg, args.json)
         if args.command == "example":
@@ -235,6 +242,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 3
+    except OSError as exc:
+        sys.stderr.write(f"wsumdist: error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .lattice import (
     signed_moments,
     smoothness_u,
 )
-from .markov import MBParams, mb_pmf
+from .markov import MBParams, mb_pmfs
 from .weighted import (
     WeightBasis,
     WeightedMeasure,
@@ -203,14 +203,20 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        kwargs = dict(payload)
-        if "n_grid" in kwargs and kwargs["n_grid"] is not None:
-            kwargs["n_grid"] = tuple(kwargs["n_grid"])
-        if "weights" in kwargs and kwargs["weights"] is not None:
-            kwargs["weights"] = tuple(kwargs["weights"])
-        if "chains" in kwargs and kwargs["chains"] is not None:
-            kwargs["chains"] = tuple(tuple(pair) for pair in kwargs["chains"])
-        return cls(**kwargs)
+        # __post_init__ turns the lists into tuples; reject what it cannot.
+        for name, value in payload.items():
+            if value is None and name != "out":
+                raise ValueError(f"config field {name!r} must not be null")
+        for name in ("n_grid", "weights", "chains"):
+            if not isinstance(payload.get(name, ()), (list, tuple)):
+                raise ValueError(f"config field {name!r} must be a list")
+        if not all(isinstance(pair, (list, tuple)) for pair in payload.get("chains", ())):
+            raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            # A value of the wrong type, such as "s": [3], fails int().
+            raise ValueError(f"bad config value: {exc}") from exc
 
     def override(self, **changes) -> "ExperimentConfig":
         """Copy with the given non-None fields replaced (flag precedence)."""
@@ -424,12 +430,12 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
     Markov-Binomial blocks and its signed compound-geometric approximant.
 
     For each n, every (p, q_bar) chain runs for n steps: H is its exact
-    law (dynamic programming), D the signed exponential with matched rate
-    coefficients; both are scaled by their weight and convolved across
-    blocks.  Rows carry the distance, the structural factor, their ratio,
-    all factor components, and the approximant's bookkeeping columns: the
-    signed-mass defect |D(Z) - 1| and the gaps between D's first two
-    moments and H's.  D's coefficients match H's mean and exact variance,
+    law (one dynamic programme per chain yields H at every n of the grid),
+    D the signed exponential with matched rate coefficients; both are
+    scaled by their weight and convolved across blocks.  Rows carry the
+    distance, the structural factor, their ratio, all factor components,
+    and the approximant's bookkeeping columns: the signed-mass defect
+    |D(Z) - 1| and the gaps between D's first two moments and H's.  D's coefficients match H's mean and exact variance,
     so both gaps are truncation-level quantities; the columns show that
     they stay so.
     """
@@ -438,21 +444,22 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
     if not config.n_grid:
         raise ValueError("n_grid must be nonempty")
     basis = WeightBasis(config.weights)
+    chain_laws = [mb_pmfs(p, q_bar, config.n_grid) for p, q_bar in config.chains]
     columns: tuple[str, ...] | None = None
     rows = []
     points = []
     warnings: list[str] = []
-    for n in config.n_grid:
+    for i, n in enumerate(config.n_grid):
         pairs = []
         h_parts = []
         d_parts = []
         mass_defect = 0.0
         mean_gap = 0.0
         var_gap = 0.0
-        for (p, q_bar), _w in zip(config.chains, config.weights):
+        for (p, q_bar), _w, laws in zip(config.chains, config.weights, chain_laws):
             params = MBParams(p=p, q_bar=q_bar, n=n)
             pairs.append((params, _w))
-            h = mb_pmf(params)
+            h = laws[i]
             _coeffs, d = build_din(params, config.tail_tol)
             h_parts.append(h)
             d_parts.append(d)

@@ -52,9 +52,13 @@ PROBABILITY_MASS_TOL = 1e-12
 class LatticeMeasure:
     """Finite signed measure on the integers.
 
-    ``support`` is strictly increasing, ``masses`` is the same length, and
-    neither contains stored zeros.  Instances are immutable; build them with
-    :func:`delta` or :func:`from_entries` rather than by hand.
+    ``support`` is strictly increasing and ``masses`` is the same length.
+    Masses may be exactly 0.0: measures built through :func:`from_entries`
+    or a convolution-type operation store none (their trim drops zeros),
+    but the Markov-Binomial laws keep the full support 0..n, including the
+    tail that underflows to 0.0, and simulated laws keep empty bins.
+    Instances are immutable; build them with :func:`delta` or
+    :func:`from_entries` rather than by hand.
     """
 
     support: np.ndarray

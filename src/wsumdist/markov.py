@@ -9,6 +9,7 @@ the statistic is the number of time steps among 1..n spent in state 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "MBParams",
     "Cond1Report",
     "mb_pmf",
+    "mb_pmfs",
     "mb_variance",
     "cond1_check",
     "mb_simulate",
@@ -68,23 +70,65 @@ class Cond1Report:
 
 
 def mb_pmf(params: MBParams) -> LatticeMeasure:
-    """Exact pmf of the occupation count via dynamic programming.
+    """Exact pmf of the occupation count: :func:`mb_pmfs` at the one horizon n."""
+    return mb_pmfs(params.p, params.q_bar, (params.n,))[0]
 
-    State arrays f0[k], f1[k] hold the probability of k successes so far with
-    the chain currently in state 0 resp. 1.  One time step costs O(n) and the
-    whole table O(n^2).
+
+def mb_pmfs(
+    p: float, q_bar: float, horizons: Sequence[int]
+) -> tuple[LatticeMeasure, ...]:
+    """Exact pmfs of the occupation count at each of the increasing horizons.
+
+    One dynamic programme runs to the largest horizon and keeps the law at
+    each horizon on its way.  State arrays f0[k], f1[k] hold the probability
+    of k successes so far with the chain currently in state 0 resp. 1.
+    Entries above ``top``, the highest index a step has made nonzero, are
+    exactly 0.0 and stay so (0*p + 0*q_bar), so a step updates only [0, top]
+    of f0 and [1, top + 1] of f1, and ``top`` stops growing where the upper
+    tail underflows.  A step costs O(band) and the whole run O(n * band):
+    the band is n + 1 until the tail underflows, and 1646 at n = 10^4 for
+    (p, q_bar) = (0.3, 0.02).  Every entry is the same expression, in the
+    same operand order, as in the dense O(n^2) table, so every law is
+    bit-identical to it, and each is stored on the full support 0..n, its
+    zero tail included.
     """
-    n, p, q, q_bar, p_bar = params.n, params.p, params.q, params.q_bar, params.p_bar
-    f0 = np.zeros(n + 1)
-    f1 = np.zeros(n + 1)
+    grid = [int(n) for n in horizons]
+    if not grid:
+        raise ValueError("horizons must be nonempty")
+    if grid[0] < 1:
+        raise ValueError("horizons must be >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("horizons must be strictly increasing")
+    chain = MBParams(p=p, q_bar=q_bar, n=grid[-1])
+    p, q, q_bar, p_bar = chain.p, chain.q, chain.q_bar, chain.p_bar
+    f0, f1, g0, g1 = (np.zeros(chain.n + 1) for _ in range(4))
+    scratch = np.empty(chain.n + 1)
     f0[0] = 1.0
-    for _ in range(n):
-        new1 = np.empty(n + 1)
-        new1[0] = 0.0
-        new1[1:] = f1[:-1] * p + f0[:-1] * q_bar
-        new0 = f1 * q + f0 * p_bar
-        f0, f1 = new0, new1
-    return LatticeMeasure(np.arange(n + 1, dtype=np.int64), f0 + f1)
+    # top never decreases, so the buffers g0/g1 being overwritten (the state
+    # two steps back) hold nothing nonzero above the band written into them.
+    top = 0
+    laws = []
+    wanted = iter(grid)
+    horizon = next(wanted)
+    for t in range(1, chain.n + 1):
+        band = top + 1
+        new1 = g1[1 : band + 1]
+        np.multiply(f1[:band], p, out=new1)
+        np.multiply(f0[:band], q_bar, out=scratch[:band])
+        np.add(new1, scratch[:band], out=new1)
+        new0 = g0[:band]
+        np.multiply(f1[:band], q, out=new0)
+        np.multiply(f0[:band], p_bar, out=scratch[:band])
+        np.add(new0, scratch[:band], out=new0)
+        if g1[band] != 0.0:
+            top = band
+        f0, f1, g0, g1 = g0, g1, f0, f1
+        if t == horizon:
+            masses = np.zeros(t + 1)
+            np.add(f0[: top + 1], f1[: top + 1], out=masses[: top + 1])
+            laws.append(LatticeMeasure(np.arange(t + 1, dtype=np.int64), masses))
+            horizon = next(wanted, None)
+    return tuple(laws)
 
 
 def mb_variance(params: MBParams) -> float:

@@ -21,3 +21,7 @@ def test_all_names_resolve(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
 
+
+@pytest.mark.parametrize("name", ["wsumdist", "wsumdist.markov"])
+def test_mb_pmfs_exported(name):
+    assert "mb_pmfs" in importlib.import_module(name).__all__

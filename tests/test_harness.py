@@ -186,6 +186,22 @@ class TestRunMarkov:
         assert len(res.rows) == 1
         assert res.column("distance")[0] > 0.0
 
+    @pytest.mark.parametrize(
+        "weights,chains",
+        [((1.0,), ((0.3, 0.02),)), ((1.0, math.sqrt(2.0)), ((0.3, 0.02), (0.25, 0.015)))],
+    )
+    def test_rows_independent_of_grid(self, weights, chains):
+        # The chain laws come from one DP across the grid; a row for n must
+        # not depend on which other horizons share that DP.
+        grid = (20, 50, 120)
+        cfg = ExperimentConfig(
+            kind="markov-sweep", n_grid=grid, weights=weights, chains=chains
+        )
+        swept = run_markov(cfg).rows
+        for n, row in zip(grid, swept):
+            alone = run_markov(cfg.override(n_grid=(n,))).rows
+            assert alone == (row,)
+
 
 class TestRunNb:
     def test_match_columns(self):
@@ -282,6 +298,57 @@ class TestCli:
         path.write_text("n,value\n16,0.5\n64,0.25\n256,0.125\n")
         assert _cli("fit", str(path)).returncode == 1
         assert _cli("fit", str(path), "--column", "value").returncode == 0
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"n_grid": None}, "n_grid"),
+            ({"weights": None}, "weights"),
+            ({"s": None}, "s"),
+            ({"n_grid": 50}, "n_grid"),
+            ({"chains": [0.3]}, "chains"),
+            ({"s": [3]}, "bad config value"),
+        ],
+    )
+    def test_config_field_errors_name_the_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
+
+    def test_config_null_out_allowed(self):
+        cfg = ExperimentConfig.from_json_dict({"kind": "markov-sweep", "out": None})
+        assert cfg.out is None
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n_grid": null}', "'n_grid' must not be null"),
+            ('{"n_grid": [100, 50]}', "n_grid must be strictly increasing"),
+            ("{not json", "wsumdist: error:"),
+        ],
+    )
+    def test_bad_config_exits_1(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        proc = _cli("markov", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("wsumdist: error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("markov", "--config", "{tmp}/absent.json"),
+            ("fit", "{tmp}/absent.csv"),
+            ("demo-intro", "--out", "{tmp}/absent/out.csv"),
+        ],
+    )
+    def test_missing_file_exits_1(self, tmp_path, argv):
+        proc = _cli(*(arg.format(tmp=tmp_path) for arg in argv))
+        assert proc.returncode == 1
+        assert "wsumdist: error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_resource_guard_exit_code(self, tmp_path):
         cfg = tmp_path / "big.json"

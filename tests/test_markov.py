@@ -14,6 +14,7 @@ from wsumdist.markov import (
     MBParams,
     cond1_check,
     mb_pmf,
+    mb_pmfs,
     mb_simulate,
     mb_variance,
 )
@@ -96,6 +97,68 @@ class TestMbPmf:
             MBParams(p=0.5, q_bar=0.0, n=10)
         with pytest.raises(ValueError):
             MBParams(p=0.5, q_bar=0.5, n=0)
+
+
+def _dense_dp(p: float, q_bar: float, n: int) -> np.ndarray:
+    # The full O(n^2) table: every entry of 0..n updated at every step.
+    q, p_bar = 1.0 - p, 1.0 - q_bar
+    f0 = np.zeros(n + 1)
+    f1 = np.zeros(n + 1)
+    f0[0] = 1.0
+    for _ in range(n):
+        new1 = np.empty(n + 1)
+        new1[0] = 0.0
+        new1[1:] = f1[:-1] * p + f0[:-1] * q_bar
+        new0 = f1 * q + f0 * p_bar
+        f0, f1 = new0, new1
+    return f0 + f1
+
+
+def _assert_matches_dense(p, q_bar, horizons):
+    laws = mb_pmfs(p, q_bar, horizons)
+    assert len(laws) == len(horizons)
+    for n, law in zip(horizons, laws):
+        assert law.support.tolist() == list(range(n + 1))
+        assert law.masses.tobytes() == _dense_dp(p, q_bar, n).tobytes()
+
+
+class TestMbPmfs:
+    @given(
+        st.floats(min_value=0.0, max_value=0.999),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4, unique=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_dense_table(self, p, q_bar, horizons):
+        _assert_matches_dense(p, q_bar, tuple(sorted(horizons)))
+
+    # (0, 1) alternates deterministically; (0.99, 0.001) is sticky; at
+    # (0.3, 0.02) the upper tail underflows and the band stops growing.
+    @pytest.mark.parametrize("p,q_bar", [(0.0, 1.0), (0.99, 0.001), (0.3, 0.02)])
+    def test_edge_chains_bit_identical(self, p, q_bar):
+        _assert_matches_dense(p, q_bar, (1, 7, 1999, 2000))
+
+    def test_underflowed_tail_is_stored(self):
+        law = mb_pmfs(0.3, 0.02, (2000,))[0]
+        assert len(law) == 2001
+        assert law.masses[-1] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 333])
+    def test_mb_pmf_is_one_horizon_call(self, n):
+        params = MBParams(p=0.3, q_bar=0.02, n=n)
+        alone = mb_pmf(params)
+        (shared,) = mb_pmfs(params.p, params.q_bar, (n,))
+        assert alone.support.tobytes() == shared.support.tobytes()
+        assert alone.masses.tobytes() == shared.masses.tobytes()
+
+    @pytest.mark.parametrize("horizons", [(), (0, 5), (-1,), (5, 5), (10, 5)])
+    def test_horizon_validation(self, horizons):
+        with pytest.raises(ValueError):
+            mb_pmfs(0.3, 0.02, horizons)
+
+    def test_chain_validation(self):
+        with pytest.raises(ValueError):
+            mb_pmfs(1.0, 0.5, (10,))
 
 
 class TestMbVariance:
