@@ -435,9 +435,9 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
     scaled by their weight and convolved across blocks.  Rows carry the
     distance, the structural factor, their ratio, all factor components,
     and the approximant's bookkeeping columns: the signed-mass defect
-    |D(Z) - 1| and the gaps between D's first two moments and H's.  D's coefficients match H's mean and exact variance,
-    so both gaps are truncation-level quantities; the columns show that
-    they stay so.
+    |D(Z) - 1| and the gaps between D's first two moments and H's.  D's
+    coefficients match H's mean and exact variance, so both gaps are
+    truncation-level quantities; the columns show that they stay so.
     """
     if len(config.chains) != len(config.weights):
         raise ValueError("need exactly one (p, q_bar) chain per weight")

@@ -435,12 +435,6 @@ def _shift_overlap(f: LatticeMeasure) -> float:
     return float(np.minimum(here, below).sum())
 
 
-def _shift_route(f: LatticeMeasure) -> float:
-    """Smoothness via the shift-difference norm; cross-check route."""
-    diff = convolve(f, delta(1) - delta(0))
-    return 1.0 - 0.5 * tv_norm(diff)
-
-
 def concentration(f: LatticeMeasure, h: float) -> float:
     """Maximal probability of a closed window ``[x, x + h]``.
 

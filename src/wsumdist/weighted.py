@@ -4,10 +4,11 @@ A weight basis fixes positive reals ``w_1, ..., w_N``.  A weighted measure
 stores one lattice measure per weight; its law is their product pushed
 onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
 acts weight by weight on the integer lattice, so it never loses support
-identity to float rounding.  Real-valued atoms are formed only when a
-cumulative function is evaluated (Kolmogorov distance, concentration),
-and there nearby real values are merged, with a tolerance proportional to
-the largest value in play.
+identity to float rounding.  Real values are formed only where a
+cumulative function is read: the Kolmogorov distance builds them once on
+the union of both laws' lattice points, the concentration function from
+one measure's atoms.  In both, real values within a tolerance
+proportional to the largest value in play are one location.
 """
 
 from __future__ import annotations
@@ -203,37 +204,70 @@ def _merge_tol(values: np.ndarray) -> float:
     return MERGE_TOL_SCALE * (1.0 + top)
 
 
+def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of two integer arrays, as ``np.union1d``
+    gives them; that goes through ``np.unique``, whose first call in a
+    process imports ``numpy.ma``."""
+    both = np.sort(np.concatenate([x, y]))
+    keep = np.ones(both.size, dtype=bool)
+    keep[1:] = both[1:] != both[:-1]
+    return both[keep]
+
+
+def _nonzero(f: LatticeMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The support points of ``f`` that carry nonzero mass, and their masses."""
+    keep = f.masses != 0.0
+    return f.support[keep], f.masses[keep]
+
+
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
 
-    Atom positions whose real values differ by at most the merge tolerance
-    are treated as one CDF location (clustered by consecutive gaps).
+    Both laws are laid on one set of lattice points: per weight, the union
+    of the two factors' supports where they carry nonzero mass.  Each
+    point's real value is built as for the measures' own atoms and sorted
+    once for both sides; neither measure builds its atoms.  Values that
+    differ by at most the merge tolerance are one CDF location (clustered
+    by consecutive gaps), and the two CDFs are compared at each cluster's
+    last point.
+
+    The work is linear in the product over weights of the union sizes,
+    which exceeds both operands' atom counts when the laws spread over
+    different weights; past SUPPORT_LIMIT points it raises
+    ResourceLimitError before allocating.
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
-    values = np.concatenate([a.values(), b.values()])
+    sides = [(_nonzero(f), _nonzero(g)) for f, g in zip(a.factors, b.factors)]
+    unions = [_sorted_union(fs, gs) for (fs, _), (gs, _) in sides]
+    count = math.prod(u.size for u in unions)
+    if count > SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"Kolmogorov distance would range over {count} lattice points "
+            f"(limit {SUPPORT_LIMIT})"
+        )
+    values = np.zeros(1)
+    mass_a = np.ones(1)
+    mass_b = np.ones(1)
+    for support, ((fs, fm), (gs, gm)), w in zip(unions, sides, a.basis.weights):
+        on_f = np.zeros(support.size)
+        on_f[np.searchsorted(support, fs)] = fm
+        on_g = np.zeros(support.size)
+        on_g[np.searchsorted(support, gs)] = gm
+        values = np.add.outer(values, support * w).ravel()
+        mass_a = np.multiply.outer(mass_a, on_f).ravel()
+        mass_b = np.multiply.outer(mass_b, on_g).ravel()
+    keep = (mass_a != 0.0) | (mass_b != 0.0)
+    values, mass_a, mass_b = values[keep], mass_a[keep], mass_b[keep]
     if values.size == 0:
         return 0.0
-    masses = np.concatenate([a.masses, b.masses])
-    from_a = np.concatenate(
-        [np.ones(a.masses.size, dtype=bool), np.zeros(b.masses.size, dtype=bool)]
-    )
     order = np.argsort(values, kind="stable")
     values = values[order]
-    masses = masses[order]
-    from_a = from_a[order]
-    tol = _merge_tol(values)
-    cluster_id = np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > tol)])
-    clusters = int(cluster_id[-1]) + 1
-    # Each side's CDF is accumulated separately so the result is exactly
-    # symmetric in (a, b): per-cluster sums see each measure's atoms in its
-    # own stable order no matter how the union interleaves.
-    cdf_a = np.cumsum(
-        np.bincount(cluster_id[from_a], weights=masses[from_a], minlength=clusters)
-    )
-    cdf_b = np.cumsum(
-        np.bincount(cluster_id[~from_a], weights=masses[~from_a], minlength=clusters)
-    )
+    ends = np.flatnonzero(np.append(np.diff(values) > _merge_tol(values), True))
+    # Both sides accumulate in the same order, so the result is exactly
+    # symmetric in (a, b); a point of the other side adds +0.0.
+    cdf_a = np.cumsum(mass_a[order])[ends]
+    cdf_b = np.cumsum(mass_b[order])[ends]
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsumdist.lattice import (
+    LatticeMeasure,
     char_fn,
     convolve,
     delta,
@@ -18,6 +19,7 @@ from wsumdist.lattice import (
     tv_norm,
 )
 from wsumdist.weighted import (
+    MERGE_TOL_SCALE,
     ResourceLimitError,
     WeightBasis,
     WeightedMeasure,
@@ -87,6 +89,62 @@ def weighted_pairs(draw):
     weights = draw(st.sampled_from(PROPERTY_BASES))
     sizes = tuple(draw(st.integers(1, 3)) for _ in weights)
     return draw(probability_laws()), draw(probability_laws()), weights, sizes
+
+
+def _clustered_distance(a, b):
+    """Kolmogorov distance over both measures' own atoms: concatenate them,
+    argsort, cluster by consecutive gaps, and sum each side per cluster."""
+    values = np.concatenate([a.values(), b.values()])
+    if values.size == 0:
+        return 0.0
+    masses = np.concatenate([a.masses, b.masses])
+    from_a = np.concatenate(
+        [np.ones(a.masses.size, dtype=bool), np.zeros(b.masses.size, dtype=bool)]
+    )
+    order = np.argsort(values, kind="stable")
+    values, masses, from_a = values[order], masses[order], from_a[order]
+    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    cluster_id = np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > tol)])
+    clusters = int(cluster_id[-1]) + 1
+    cdf_a = np.cumsum(
+        np.bincount(cluster_id[from_a], weights=masses[from_a], minlength=clusters)
+    )
+    cdf_b = np.cumsum(
+        np.bincount(cluster_id[~from_a], weights=masses[~from_a], minlength=clusters)
+    )
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+# Bases whose weight ratios are pairwise irrational: on small supports no two
+# lattice points share a CDF location, so both routes add the same masses in
+# the same order.
+IRRATIONAL_BASES = ((1.0,), (SQRT2,), (1.0, SQRT2), (1.0, SQRT2, SQRT3))
+# Bases with exact ties, where a location can hold several atoms of one side.
+TIED_BASES = ((1.0, 2.0), (SQRT2, SQRT2), (SQRT2, 1.0, SQRT2), (1.0, 2.0, 3.0))
+
+# Stored zeros as in mb_pmf's tail, and masses whose products underflow to 0.0.
+SPECIAL_MASSES = (0.0, 0.0, 0.5, -0.25, 1.0, 1e-200, -3e-170)
+
+
+@st.composite
+def signed_laws(draw):
+    """A signed law on up to four points of -2..4, stored zeros included."""
+    points = sorted(draw(st.lists(st.integers(-2, 4), max_size=4, unique=True)))
+    mass = st.one_of(
+        st.sampled_from(SPECIAL_MASSES),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    masses = draw(st.lists(mass, min_size=len(points), max_size=len(points)))
+    return LatticeMeasure(np.array(points, dtype=np.int64), np.array(masses))
+
+
+@st.composite
+def signed_pairs(draw, bases):
+    """Two weighted measures with one signed law per weight of a drawn basis."""
+    basis = WeightBasis(draw(st.sampled_from(bases)))
+    a = WeightedMeasure(basis, tuple(draw(signed_laws()) for _ in range(basis.size)))
+    b = WeightedMeasure(basis, tuple(draw(signed_laws()) for _ in range(basis.size)))
+    return a, b
 
 
 def _block_sums(f, sizes, weights):
@@ -276,6 +334,76 @@ class TestWKolmogorov:
         a = wconvolve(lift(delta(2), 1, basis), lift(delta(0), 2, basis))
         b = wconvolve(lift(delta(0), 1, basis), lift(delta(1), 2, basis))
         assert wkolmogorov_distance(a, b) == 0.0
+
+
+class TestUnionRoute:
+    """The union-sort distance against the clustered route over each
+    measure's own atoms, kept here as the reference."""
+
+    @given(signed_pairs(IRRATIONAL_BASES))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_clustered_route(self, pair):
+        a, b = pair
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    @given(signed_pairs(TIED_BASES))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_clustered_route_with_ties(self, pair):
+        # ties are accumulated atom by atom, not per cluster: the last bit may move
+        a, b = pair
+        assert abs(wkolmogorov_distance(a, b) - _clustered_distance(a, b)) <= 1e-12
+
+    @given(signed_pairs(IRRATIONAL_BASES + TIED_BASES))
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_symmetric(self, pair):
+        a, b = pair
+        assert wkolmogorov_distance(a, b) == wkolmogorov_distance(b, a)
+
+    def test_all_zero_factor(self):
+        zero = LatticeMeasure(np.array([0, 3]), np.array([0.0, 0.0]))
+        a = WeightedMeasure(BASIS, (F, zero))
+        b = WeightedMeasure(BASIS, (zero, G))
+        assert wkolmogorov_distance(a, b) == 0.0
+        assert wkolmogorov_distance(a, lift(G, 1, BASIS)) == _clustered_distance(
+            a, lift(G, 1, BASIS)
+        )
+
+    def test_underflowed_products_are_dropped(self):
+        # every product of a underflows to 0.0; its far point must not widen
+        # the merge tolerance enough to fuse b's atoms
+        tiny = LatticeMeasure(np.array([0, 10**9]), np.array([1e-170, 1e-170]))
+        a = WeightedMeasure(BASIS, (tiny, from_entries({0: 1e-170})))
+        b = wconvolve(lift(F - G, 1, BASIS), lift(G, 2, BASIS))
+        nothing = LatticeMeasure(np.array([]), np.array([]))
+        empty = WeightedMeasure(BASIS, (nothing, delta(0)))
+        assert wkolmogorov_distance(a, b) == wkolmogorov_distance(empty, b)
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    def test_disjoint_supports(self):
+        a = wconvolve(lift(F, 1, BASIS), lift(F, 2, BASIS))
+        b = wconvolve(lift(delta(10), 1, BASIS), lift(delta(10), 2, BASIS))
+        assert wkolmogorov_distance(a, b) == pytest.approx(1.0, abs=1e-15)
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    def test_basis_mismatch(self):
+        other = WeightBasis((1.0, 2.0))
+        with pytest.raises(ValueError):
+            wkolmogorov_distance(lift(F, 1, BASIS), lift(F, 1, other))
+
+    def test_box_past_limit_raises(self):
+        # 4001 atoms per operand, but the union box holds 4001 ** 2 points
+        wide = from_entries({k: 1.0 / 4001 for k in range(4001)})
+        a = lift(wide, 1, BASIS)
+        b = lift(wide, 2, BASIS)
+        with pytest.raises(ResourceLimitError):
+            wkolmogorov_distance(a, b)
+
+    def test_builds_no_atoms(self):
+        a = weighted_sum_distribution([(F, 2, 1), (F, 3, 2)], BASIS)
+        b = weighted_sum_distribution([(G, 2, 1), (G, 3, 2)], BASIS)
+        wkolmogorov_distance(a, b)
+        assert "_atoms" not in a.__dict__
+        assert "_atoms" not in b.__dict__
 
 
 class TestWConcentration:
