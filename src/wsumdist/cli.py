@@ -115,10 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="negative binomial matching sweep",
     )
-    sub.add_parser(
+    check = sub.add_parser(
         "check",
         parents=[common],
         help="seeded random-instance inequality suite",
+    )
+    check.add_argument(
+        "--count", type=int, help="seeded instances per check family"
     )
     sub.add_parser(
         "demo-intro",
@@ -149,6 +152,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg.override(
         n_grid=args.n_grid,
         seed=args.seed,
+        count=getattr(args, "count", None),
         tail_tol=args.tail_tol,
         out=args.out,
     )

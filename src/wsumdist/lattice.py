@@ -25,6 +25,7 @@ __all__ = [
     "PROBABILITY_MASS_TOL",
     "delta",
     "from_entries",
+    "from_json_dict",
     "convolve",
     "power",
     "exp_measure",
@@ -70,7 +71,7 @@ class LatticeMeasure:
         m = np.array(self.masses, dtype=np.float64)
         if s.ndim != 1 or m.ndim != 1 or s.size != m.size:
             raise ValueError("support and masses must be 1-d arrays of equal length")
-        if s.size > 1 and not np.all(s[1:] > s[:-1]):
+        if s.size > 1 and not (s[1:] > s[:-1]).all():
             raise ValueError("support must be strictly increasing")
         if self.error_budget < 0.0 or not math.isfinite(self.error_budget):
             raise ValueError("error budget must be finite and nonnegative")
@@ -134,13 +135,16 @@ class LatticeMeasure:
     # -- linear algebra ------------------------------------------------
 
     def __add__(self, other: "LatticeMeasure") -> "LatticeMeasure":
+        """Sum of measures: both sorted supports are merged into their
+        union, each side's masses are placed by ``searchsorted`` (shared
+        points add self's mass, then other's) and the result is trimmed."""
         if not isinstance(other, LatticeMeasure):
             return NotImplemented
-        return _canonical(
-            np.concatenate([self.support, other.support]),
-            np.concatenate([self.masses, other.masses]),
-            self.error_budget + other.error_budget,
-        )
+        union = _sorted_union(self.support, other.support)
+        out = np.zeros(union.size)
+        out[np.searchsorted(union, self.support)] = self.masses
+        out[np.searchsorted(union, other.support)] += other.masses
+        return _trim(union, out, self.error_budget + other.error_budget)
 
     def __sub__(self, other: "LatticeMeasure") -> "LatticeMeasure":
         if not isinstance(other, LatticeMeasure):
@@ -170,25 +174,47 @@ class MomentSummary:
 def _canonical(
     support: np.ndarray, masses: np.ndarray, budget: float
 ) -> LatticeMeasure:
-    """Sort, merge duplicate atoms, trim negligible ones, account the trim."""
+    """Sort, merge duplicate atoms, trim negligible ones, account the trim.
+
+    A support that is already strictly increasing (a scalar multiple, the
+    dense convolution's points, sorted entries) is neither sorted nor
+    merged; it goes straight to the trim.
+    """
     support = np.asarray(support, dtype=np.int64).ravel()
     masses = np.asarray(masses, dtype=np.float64).ravel()
-    if support.size:
+    if support.size > 1 and not (support[1:] > support[:-1]).all():
         order = np.argsort(support, kind="stable")
         support = support[order]
         masses = masses[order]
-        if support.size > 1 and np.any(support[1:] == support[:-1]):
+        if (support[1:] == support[:-1]).any():
             uniq, inverse = np.unique(support, return_inverse=True)
             merged = np.zeros(uniq.size, dtype=np.float64)
             np.add.at(merged, inverse, masses)
             support, masses = uniq, merged
-        tv = float(np.abs(masses).sum())
-        keep = (np.abs(masses) >= TRIM_RELATIVE * tv) & (masses != 0.0)
-        if not np.all(keep):
-            budget += float(np.abs(masses[~keep]).sum())
+    return _trim(support, masses, budget)
+
+
+def _trim(support: np.ndarray, masses: np.ndarray, budget: float) -> LatticeMeasure:
+    """Drop zero atoms and those below ``TRIM_RELATIVE`` times the tv norm
+    from a sorted, duplicate-free support; their mass joins the budget."""
+    if support.size:
+        mag = np.abs(masses)
+        keep = (mag >= TRIM_RELATIVE * float(mag.sum())) & (masses != 0.0)
+        if not keep.all():
+            budget += float(mag[~keep].sum())
             support = support[keep]
             masses = masses[keep]
     return LatticeMeasure(support, masses, budget)
+
+
+def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of two integer arrays, as ``np.union1d``
+    gives them; that goes through ``np.unique``, whose first call in a
+    process imports ``numpy.ma``."""
+    both = np.sort(np.concatenate([x, y]))
+    keep = np.ones(both.size, dtype=bool)
+    keep[1:] = both[1:] != both[:-1]
+    return both[keep]
 
 
 def _with_budget(m: LatticeMeasure, extra: float) -> LatticeMeasure:
@@ -349,16 +375,21 @@ def char_fn(
     """Fourier transform of ``m`` recentred at ``center``.
 
     order 0 returns ``sum_k exp(i t (k - center)) m{k}``; order 1 returns its
-    derivative in ``t``.  ``t`` may be a scalar or an array.
+    derivative in ``t``.  ``t`` may be a scalar (the result is a Python
+    ``complex``) or an array.  The real phases ``t (k - center)`` are built
+    once and the real and imaginary parts are the cosine and sine sums;
+    order 1 folds ``k - center`` into the masses first.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     t_arr = np.asarray(t, dtype=np.float64)
     shifted = m.support.astype(np.float64) - center
-    phase = np.exp(1j * np.multiply.outer(t_arr, shifted))
-    if order == 1:
-        phase = phase * (1j * shifted)
-    out = phase @ m.masses
+    x = np.multiply.outer(t_arr, shifted)
+    if order == 0:
+        out = np.cos(x) @ m.masses + 1j * (np.sin(x) @ m.masses)
+    else:
+        w = shifted * m.masses
+        out = -(np.sin(x) @ w) + 1j * (np.cos(x) @ w)
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(out)
     return out

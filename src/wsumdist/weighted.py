@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeMeasure, PROBABILITY_MASS_TOL, convolve, delta, power
+from .lattice import (
+    LatticeMeasure,
+    PROBABILITY_MASS_TOL,
+    _sorted_union,
+    convolve,
+    delta,
+    power,
+)
 
 __all__ = [
     "WeightBasis",
@@ -202,16 +209,6 @@ def weighted_sum_distribution(
 def _merge_tol(values: np.ndarray) -> float:
     top = float(np.max(np.abs(values))) if values.size else 0.0
     return MERGE_TOL_SCALE * (1.0 + top)
-
-
-def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of two integer arrays, as ``np.union1d``
-    gives them; that goes through ``np.unique``, whose first call in a
-    process imports ``numpy.ma``."""
-    both = np.sort(np.concatenate([x, y]))
-    keep = np.ones(both.size, dtype=bool)
-    keep[1:] = both[1:] != both[:-1]
-    return both[keep]
 
 
 def _nonzero(f: LatticeMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -25,3 +25,12 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("name", ["wsumdist", "wsumdist.markov"])
 def test_mb_pmfs_exported(name):
     assert "mb_pmfs" in importlib.import_module(name).__all__
+
+
+def test_package_exports_come_from_submodules():
+    """Every name the package exports is exported by the submodule that
+    defines it, so ``__all__`` lists stay in step."""
+    submodule_names = set()
+    for name in MODULES[1:]:
+        submodule_names.update(getattr(importlib.import_module(name), "__all__", []))
+    assert sorted(set(wsumdist.__all__) - submodule_names) == []

@@ -279,6 +279,25 @@ class TestCli:
         assert lines[0] == "name,passed,failed"
         assert lines[1].startswith("mineka2,3,0")
 
+    def test_check_count_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 7}))
+        proc = _cli("check", "--config", str(cfg), "--count", "2", "--json")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["count"] == 2
+        assert all(r["passed"] == 2 for r in payload["results"])
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_check_count_below_one_rejected(self, count):
+        proc = _cli("check", "--count", count)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("wsumdist: error: ")
+        assert "count" in proc.stderr
+
+    def test_count_flag_is_check_only(self):
+        assert _cli("example", "--count", "3").returncode == 2
+
     def test_fit_round_trip(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert _cli("example", "--n-grid", "16,64,256", "--out", str(out)).returncode == 0

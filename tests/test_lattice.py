@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsumdist.approximants import build_din
 from wsumdist.lattice import (
+    TRIM_RELATIVE,
     LatticeMeasure,
+    _sorted_union,
     char_fn,
     concentration,
     convolve,
@@ -24,6 +27,7 @@ from wsumdist.lattice import (
     smoothness_u,
     tv_norm,
 )
+from wsumdist.markov import MBParams, mb_pmf
 
 F = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
 G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
@@ -202,6 +206,180 @@ class TestCharFn:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             char_fn(F, 1.0, 0.0, 2)
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-6, max_value=9),
+                st.floats(min_value=-1.0, max_value=1.0),
+            ),
+            min_size=0,
+            max_size=7,
+            unique_by=lambda pair: pair[0],
+        ),
+        st.one_of(
+            st.floats(min_value=-4.0, max_value=4.0),
+            st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5),
+        ),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_sum(self, pairs, t, center, order):
+        m = from_entries(pairs)
+        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        got = np.atleast_1d(char_fn(m, t, center, order))
+        shifts = [k - center for k in m.support.tolist()]
+        for tj, value in zip(t_arr.tolist(), got.tolist()):
+            want = sum(
+                mk * (1j * sk) ** order * complex(math.cos(tj * sk), math.sin(tj * sk))
+                for sk, mk in zip(shifts, m.masses.tolist())
+            )
+            reach = max((abs(sk) for sk in shifts), default=0.0)
+            assert abs(value - want) <= 1e-13 * m.tv * (1.0 + abs(tj) * reach)
+
+    def test_scalar_t_gives_python_complex(self):
+        for order in (0, 1):
+            for t in (0.7, np.float64(0.7), np.array(0.7)):
+                assert type(char_fn(F, t, 1.0, order)) is complex
+        assert char_fn(F, np.array([0.1, 0.2]), 0.0, 1).shape == (2,)
+
+
+def _reference_canonical(support, masses, budget):
+    """The algebra's former route: concatenated input, stable argsort,
+    np.unique / np.add.at merge, then the trim."""
+    support = np.asarray(support, dtype=np.int64).ravel()
+    masses = np.asarray(masses, dtype=np.float64).ravel()
+    if support.size:
+        order = np.argsort(support, kind="stable")
+        support = support[order]
+        masses = masses[order]
+        if support.size > 1 and np.any(support[1:] == support[:-1]):
+            uniq, inverse = np.unique(support, return_inverse=True)
+            merged = np.zeros(uniq.size, dtype=np.float64)
+            np.add.at(merged, inverse, masses)
+            support, masses = uniq, merged
+        tv = float(np.abs(masses).sum())
+        keep = (np.abs(masses) >= TRIM_RELATIVE * tv) & (masses != 0.0)
+        if not np.all(keep):
+            budget += float(np.abs(masses[~keep]).sum())
+            support = support[keep]
+            masses = masses[keep]
+    return LatticeMeasure(support, masses, budget)
+
+
+def _reference_mul(c, a):
+    c = float(c)
+    return _reference_canonical(a.support, a.masses * c, abs(c) * a.error_budget)
+
+
+def _reference_add(a, b):
+    return _reference_canonical(
+        np.concatenate([a.support, b.support]),
+        np.concatenate([a.masses, b.masses]),
+        a.error_budget + b.error_budget,
+    )
+
+
+def _reference_sub(a, b):
+    return _reference_add(a, _reference_mul(-1.0, b))
+
+
+def _assert_same_bits(got, want):
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.masses.tobytes() == want.masses.tobytes()
+    assert got.error_budget == want.error_budget
+
+
+# Stored zeros of both signs, masses below TRIM_RELATIVE beside 1.0, and
+# masses that only cancel exactly against a copy of themselves.
+_RAW_MASSES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-18, -1e-18, 0.1, 0.2, 0.3]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=True),
+)
+
+
+@st.composite
+def _raw_measures(draw, points=st.integers(min_value=-6, max_value=6)):
+    """Measures built by hand, as mb_pmf builds them: any stored masses."""
+    support = sorted(draw(st.sets(points, max_size=8)))
+    masses = draw(st.lists(_RAW_MASSES, min_size=len(support), max_size=len(support)))
+    budget = draw(st.sampled_from([0.0, 1e-15, 0.25]))
+    return LatticeMeasure(np.array(support, dtype=np.int64), np.array(masses), budget)
+
+
+@st.composite
+def _raw_pairs(draw):
+    kind = draw(st.sampled_from(["any", "identical", "disjoint", "empty"]))
+    if kind == "disjoint":
+        a = draw(_raw_measures(st.integers(min_value=-6, max_value=-1)))
+        b = draw(_raw_measures(st.integers(min_value=0, max_value=6)))
+    else:
+        a = draw(_raw_measures())
+        b = draw(_raw_measures())
+    if kind == "identical":
+        b = LatticeMeasure(a.support, draw(st.permutations(a.masses.tolist())))
+    elif kind == "empty":
+        b = LatticeMeasure(np.array([], dtype=np.int64), np.array([]), b.error_budget)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+class TestSortFreeAlgebra:
+    """The merge-by-searchsorted sum and the sort-skipping canonical form
+    land on the same bits as the former sort-and-merge route."""
+
+    @given(_raw_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_add(self, pair):
+        a, b = pair
+        _assert_same_bits(a + b, _reference_add(a, b))
+
+    @given(_raw_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_sub(self, pair):
+        a, b = pair
+        _assert_same_bits(a - b, _reference_sub(a, b))
+
+    @given(
+        _raw_measures(),
+        st.sampled_from([0.0, -1.0, 2.5, np.float64(-0.75), 3, 1e-300]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_multiple(self, a, c):
+        _assert_same_bits(c * a, _reference_mul(c, a))
+        _assert_same_bits(a * c, _reference_mul(c, a))
+
+    @given(_raw_measures())
+    @settings(max_examples=100, deadline=None)
+    def test_neg(self, a):
+        _assert_same_bits(-a, _reference_mul(-1.0, a))
+
+    def test_mb_pmf_minus_din(self):
+        # The chain's law stores its underflowed tail as 0.0 and keeps masses
+        # far below TRIM_RELATIVE * tv; a - b trims -b against b's own tv
+        # before the sum, which a direct subtraction would not.
+        params = MBParams(0.3, 0.02, 2000)
+        chain = mb_pmf(params)
+        _, din = build_din(params)
+        assert (chain.masses == 0.0).any()
+        _assert_same_bits(chain - din, _reference_sub(chain, din))
+        _assert_same_bits(din - chain, _reference_sub(din, chain))
+
+    @given(
+        st.lists(st.integers(min_value=-20, max_value=20), max_size=12),
+        st.lists(st.integers(min_value=-20, max_value=20), max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_union_matches_union1d(self, x, y):
+        x = np.array(x, dtype=np.int64)
+        y = np.array(y, dtype=np.int64)
+        got = _sorted_union(x, y)
+        want = np.union1d(x, y)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
 
 
 class TestFactorialMoments:
