@@ -10,15 +10,15 @@ inspection and CSV output.
 
 Block model: S = sum_i w_i * (X_i1 + ... + X_in_i) against the analogous
 Z built from G-distributed summands, with everything independent.  A
-BlockSpec holds one i: the summand laws, the count, and the weight.
+BlockSpec holds one i: its distinct summand pairs (F_j, G_j), how many
+summands each pair stands for, and the weight.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .lattice import (
     LatticeMeasure,
@@ -64,36 +64,29 @@ class MomentMismatchError(ValueError):
 class BlockSpec:
     """One weighted block of summands and its approximating counterparts.
 
-    ``f`` and ``g`` are the summand laws when the block is iid; for
-    non-identically distributed blocks pass per-summand tuples ``f_list``
-    and ``g_list`` (then ``f``/``g`` are their first entries and ``n``
-    their common length).
+    ``pairs`` holds the distinct summand pairs (F_j, G_j) and ``counts``
+    how many of the block's n = Sum_j count_j summands each stands for.
+    ``from_summands`` groups by object identity: the same two objects
+    repeated make an iid block; equal-valued distinct objects stay apart.
     """
 
-    f: LatticeMeasure
-    g: LatticeMeasure
-    n: int
+    pairs: tuple[tuple[LatticeMeasure, LatticeMeasure], ...]
+    counts: tuple[int, ...]
     weight: float = 1.0
-    f_list: tuple[LatticeMeasure, ...] | None = None
-    g_list: tuple[LatticeMeasure, ...] | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
-            raise ValueError("block count n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        pairs = tuple((f, g) for f, g in self.pairs)
+        counts = tuple(int(c) for c in self.counts)
+        if not pairs or len(counts) != len(pairs):
+            raise ValueError("need at least one pair and one count per pair")
+        if min(counts) < 1:
+            raise ValueError("block counts must be >= 1")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "counts", counts)
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
             raise ValueError("weight must be positive and finite")
-        if (self.f_list is None) != (self.g_list is None):
-            raise ValueError("f_list and g_list must be given together")
-        if self.f_list is not None:
-            object.__setattr__(self, "f_list", tuple(self.f_list))
-            object.__setattr__(self, "g_list", tuple(self.g_list))
-            if len(self.f_list) != len(self.g_list):
-                raise ValueError("f_list and g_list must have equal length")
-            if len(self.f_list) != self.n:
-                raise ValueError("per-summand lists must have length n")
-        for m in self._distinct_pairs():
-            for side in m:
+        for pair in pairs:
+            for side in pair:
                 if not side.is_probability:
                     raise ValueError("block summands must be probability laws")
 
@@ -101,7 +94,7 @@ class BlockSpec:
     def iid(
         cls, f: LatticeMeasure, g: LatticeMeasure, n: int, weight: float = 1.0
     ) -> "BlockSpec":
-        return cls(f=f, g=g, n=n, weight=weight)
+        return cls(pairs=((f, g),), counts=(n,), weight=weight)
 
     @classmethod
     def from_summands(
@@ -110,43 +103,24 @@ class BlockSpec:
         g_list: tuple[LatticeMeasure, ...],
         weight: float = 1.0,
     ) -> "BlockSpec":
-        f_list = tuple(f_list)
-        g_list = tuple(g_list)
-        if not f_list:
-            raise ValueError("per-summand lists must be nonempty")
-        return cls(
-            f=f_list[0],
-            g=g_list[0] if g_list else f_list[0],
-            n=len(f_list),
-            weight=weight,
-            f_list=f_list,
-            g_list=g_list,
-        )
+        f_list, g_list = tuple(f_list), tuple(g_list)
+        if len(f_list) != len(g_list):
+            raise ValueError("f_list and g_list must have equal length")
+        # LatticeMeasure hashes and compares by identity.
+        counts = Counter(zip(f_list, g_list))
+        return cls(tuple(counts), tuple(counts.values()), weight)
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
 
     @property
     def is_iid(self) -> bool:
-        return self.f_list is None
+        return len(self.pairs) == 1
 
-    def _distinct_pairs(self) -> list[tuple[LatticeMeasure, LatticeMeasure]]:
-        if self.f_list is None:
-            return [(self.f, self.g)]
-        return list(zip(self.f_list, self.g_list))
-
-    def pair_values(self, fn) -> list:
-        """Evaluate fn(F_ij, G_ij) for every summand, memoized by identity.
-
-        An iid block evaluates fn once and repeats the value n times.
-        """
-        if self.f_list is None:
-            return [fn(self.f, self.g)] * self.n
-        memo: dict[tuple[int, int], object] = {}
-        out = []
-        for fi, gi in zip(self.f_list, self.g_list):
-            key = (id(fi), id(gi))
-            if key not in memo:
-                memo[key] = fn(fi, gi)
-            out.append(memo[key])
-        return out
+    def total(self, fn) -> float:
+        """Sum_j count_j fn(F_j, G_j), one call of fn per distinct pair."""
+        return float(sum(c * fn(f, g) for (f, g), c in zip(self.pairs, self.counts)))
 
 
 @dataclass(frozen=True)
@@ -173,11 +147,7 @@ class BoundReport:
     absolute_constant_excluded: bool = True
 
     def recompose(self) -> float:
-        out = 1.0
-        for key, value in self.components.items():
-            if key.startswith("factor."):
-                out *= value
-        return out
+        return _factor_product(self.components)
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,17 +158,20 @@ class BoundReport:
         }
 
 
-def _finish(components: dict[str, float], warnings: tuple[str, ...]) -> BoundReport:
-    factor = 1.0
+def _factor_product(components: dict[str, float]) -> float:
+    out = 1.0
     for key, value in components.items():
         if key.startswith("factor."):
-            factor *= value
-    return BoundReport(factor=factor, components=components, warnings=warnings)
+            out *= value
+    return out
 
 
-def _weight_ratio(blocks) -> float:
-    ws = [b.weight for b in blocks]
-    return max(ws) / min(ws)
+def _finish(components: dict[str, float], warnings: tuple[str, ...]) -> BoundReport:
+    return BoundReport(_factor_product(components), components, warnings)
+
+
+def _weight_ratio(weights: list[float]) -> float:
+    return max(weights) / min(weights)
 
 
 def _beta(f: LatticeMeasure, g: LatticeMeasure, k: int) -> tuple[float, float]:
@@ -217,29 +190,24 @@ def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
     if not blocks:
         raise ValueError("need at least one block")
     warnings: list[str] = []
+
+    def moment_gap(f, g):
+        return max(
+            abs(factorial_moment(f, k, side) - factorial_moment(g, k, side))
+            for k in range(1, s + 1)
+            for side in ("plus", "minus")
+        )
+
     for i, block in enumerate(blocks):
-        us = block.pair_values(lambda f, g: smoothness_u(f, g))
-        if min(us) <= 0.0:
+        if min(smoothness_u(f, g) for f, g in block.pairs) <= 0.0:
             warnings.append(f"block {i}: some summand has zero shift overlap u")
-        if sum(us) < 1.0:
+        if block.total(smoothness_u) < 1.0:
             warnings.append(f"block {i}: total shift overlap below 1")
-
-        def moment_gap(f, g):
-            worst = 0.0
-            for k in range(1, s + 1):
-                for side in ("plus", "minus"):
-                    gap = abs(
-                        factorial_moment(f, k, side) - factorial_moment(g, k, side)
-                    )
-                    worst = max(worst, gap)
-            return worst
-
-        if max(block.pair_values(moment_gap)) > MOMENT_MATCH_TOL:
+        if max(moment_gap(f, g) for f, g in block.pairs) > MOMENT_MATCH_TOL:
             warnings.append(
                 f"block {i}: factorial moments not matched through order {s}"
             )
-        betas = block.pair_values(lambda f, g: sum(_beta(f, g, s + 1)))
-        if not all(math.isfinite(b) for b in betas):
+        if not all(math.isfinite(sum(_beta(f, g, s + 1))) for f, g in block.pairs):
             warnings.append(f"block {i}: order-{s + 1} moment sum not finite")
     return AssumptionReport(ok=not warnings, s=s, warnings=tuple(warnings))
 
@@ -247,17 +215,13 @@ def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
 def _independent_prefactor(
     blocks: list[BlockSpec], components: dict[str, float]
 ) -> None:
-    components["factor.weight_ratio"] = _weight_ratio(blocks)
+    components["factor.weight_ratio"] = _weight_ratio([b.weight for b in blocks])
     u_total = 0.0
     variance_product = 1.0
     for i, block in enumerate(blocks):
-        u_sum = float(sum(block.pair_values(lambda f, g: smoothness_u(f, g))))
-        sigma2_sum = float(
-            sum(
-                block.pair_values(
-                    lambda f, g: max(moments(f).variance, moments(g).variance)
-                )
-            )
+        u_sum = block.total(smoothness_u)
+        sigma2_sum = block.total(
+            lambda f, g: max(moments(f).variance, moments(g).variance)
         )
         u_total += u_sum
         variance_product *= 1.0 + sigma2_sum / u_sum
@@ -281,8 +245,7 @@ def bound_independent(blocks: list[BlockSpec], s: int) -> BoundReport:
     beta_term = 0.0
     for i, block in enumerate(blocks):
         u_sum = components[f"block{i}.u_sum"]
-        betas = block.pair_values(lambda f, g: sum(_beta(f, g, s + 1)))
-        block_beta = float(sum(betas))
+        block_beta = block.total(lambda f, g: sum(_beta(f, g, s + 1)))
         beta_term += block_beta * u_sum ** (-s / 2.0)
         components[f"block{i}.beta{s + 1}"] = block_beta
     components["factor.beta_term"] = beta_term
@@ -299,15 +262,17 @@ def bound_independent_sym(blocks: list[BlockSpec], s: int) -> BoundReport:
     report = check_assumptions(blocks, s)
     components: dict[str, float] = {}
     _independent_prefactor(blocks, components)
+
+    def skew_of(f, g):
+        bp, bm = _beta(f, g, s + 1)
+        return abs(bp - bm)
+
     sym_term = 0.0
     for i, block in enumerate(blocks):
         u_sum = components[f"block{i}.u_sum"]
-        betas1 = block.pair_values(lambda f, g: _beta(f, g, s + 1))
-        betas2 = block.pair_values(lambda f, g: _beta(f, g, s + 2))
-        skew = float(sum(abs(bp - bm) for bp, bm in betas1))
-        correction = float(
-            sum(b2p + b2m for b2p, b2m in betas2)
-            + sum(bm for _, bm in betas1)
+        skew = block.total(skew_of)
+        correction = block.total(lambda f, g: sum(_beta(f, g, s + 2))) + block.total(
+            lambda f, g: _beta(f, g, s + 1)[1]
         )
         sym_term += u_sum ** (-s / 2.0) * (skew + correction * u_sum**-0.5)
         components[f"block{i}.beta{s + 1}_skew"] = skew
@@ -321,15 +286,19 @@ def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
 
     (max w/min w) (Sum n_i u_i)^(-1/2)
     x Sum_i beta_{s+1}(F_i, G_i) / (n_i^(s/2-1) u_i^(s/2)).
+
+    Every block must be iid: one distinct pair, as ``from_summands`` of
+    the same two objects repeated gives.
     """
     for i, block in enumerate(blocks):
         if not block.is_iid:
             raise ValueError(f"block {i} is not iid; use bound_independent")
     report = check_assumptions(blocks, s)
-    components: dict[str, float] = {"factor.weight_ratio": _weight_ratio(blocks)}
+    ratio = _weight_ratio([b.weight for b in blocks])
+    components: dict[str, float] = {"factor.weight_ratio": ratio}
     u_total = 0.0
     for i, block in enumerate(blocks):
-        u = smoothness_u(block.f, block.g)
+        u = smoothness_u(*block.pairs[0])
         u_total += block.n * u
         components[f"block{i}.u"] = u
         components[f"block{i}.n"] = float(block.n)
@@ -337,7 +306,7 @@ def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
     beta_term = 0.0
     for i, block in enumerate(blocks):
         u = components[f"block{i}.u"]
-        bp, bm = _beta(block.f, block.g, s + 1)
+        bp, bm = _beta(*block.pairs[0], s + 1)
         beta_term += (bp + bm) / (block.n ** (s / 2.0 - 1.0) * u ** (s / 2.0))
         components[f"block{i}.beta{s + 1}"] = bp + bm
     components["factor.beta_term"] = beta_term
@@ -367,16 +336,18 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
     The r_k ln(1/p~_k) quantity is reported along both routes: directly
     from the matched (r_k, p~_k) and from the block-sum factorial moments.
     """
-    for i, block in enumerate(blocks):
+    laws = [block.pairs[0][0] for block in blocks]
+    for i, (block, f) in enumerate(zip(blocks, laws)):
         if not block.is_iid:
             raise ValueError(f"block {i} is not iid")
-        if block.f.support.size and block.f.support[0] < 0:
+        if f.support.size and f.support[0] < 0:
             raise ValueError(f"block {i}: summands must be nonnegative")
-    components: dict[str, float] = {"factor.weight_ratio": _weight_ratio(blocks)}
+    ratio = _weight_ratio([b.weight for b in blocks])
+    components: dict[str, float] = {"factor.weight_ratio": ratio}
     warnings: list[str] = []
     u_tildes = []
-    for i, block in enumerate(blocks):
-        summary = moments(block.f)
+    for i, (block, f) in enumerate(zip(blocks, laws)):
+        summary = moments(f)
         block_mean = block.n * summary.mean
         block_var = block.n * summary.variance
         params = nb_match(block_mean, block_var)
@@ -384,7 +355,7 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
         nu1_s = block_mean
         nu2_s = block_var + block_mean**2 - block_mean
         r_log_moments = _r_log_inv_p_from_moments(nu1_s, nu2_s)
-        shift_norm = tv_norm(convolve(block.f, delta(1) - delta(0)))
+        shift_norm = tv_norm(convolve(f, delta(1) - delta(0)))
         u_tilde = 1.0 - 0.5 * max(shift_norm, r_log_direct**-0.5)
         if u_tilde <= 0.0:
             warnings.append(f"block {i}: nonpositive smoothed overlap u~")
@@ -398,10 +369,10 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
     total = sum(b.n * ut for b, ut in zip(blocks, u_tildes))
     components["factor.weighted_u_inv_sqrt"] = total**-0.5
     bracket_term = 0.0
-    for i, block in enumerate(blocks):
-        nu1 = factorial_moment(block.f, 1, "plus")
-        nu2 = factorial_moment(block.f, 2, "plus")
-        nu3 = factorial_moment(block.f, 3, "plus")
+    for i, f in enumerate(laws):
+        nu1 = factorial_moment(f, 1, "plus")
+        nu2 = factorial_moment(f, 2, "plus")
+        nu3 = factorial_moment(f, 3, "plus")
         bracket = nu3 + nu1 * nu2 + nu1**3 + (nu2 - nu1**2) ** 2 / nu1
         bracket_term += bracket / u_tildes[i]
         components[f"block{i}.bracket"] = bracket
@@ -426,15 +397,13 @@ def bound_markov(
     weights = [w for _, w in pairs]
     if min(weights) <= 0.0:
         raise ValueError("weights must be positive")
-    components: dict[str, float] = {
-        "factor.weight_ratio": max(weights) / min(weights)
-    }
+    components: dict[str, float] = {"factor.weight_ratio": _weight_ratio(weights)}
     switch_sum = 0.0
     horizon_total = 0.0
     for i, (params, _) in enumerate(pairs):
         report = cond1_check(params, k0)
         if not report.ok:
-            failed = sorted(k for k, v in report.clauses.items() if not v)
+            failed = sorted(report.violated_clauses)
             warnings.append(f"block {i}: regime clauses failed: {', '.join(failed)}")
         switch_sum += params.q_bar * (params.p + params.q_bar)
         horizon_total += max(params.n * params.q_bar, 1.0)

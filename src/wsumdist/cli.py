@@ -37,37 +37,17 @@ from .harness import (
 )
 from .weighted import ResourceLimitError
 
+# Only what differs from ExperimentConfig's field defaults.
 _DEFAULTS: dict[str, dict] = {
     "example": {
         "kind": "example",
         "n_grid": [16, 64, 256, 1024],
         "weights": [1.0, 2.0**0.5],
-        "s": 3,
-        "tail_tol": 1e-10,
     },
-    "markov": {
-        "kind": "markov-sweep",
-        "n_grid": [50, 100, 200, 400],
-        "chains": [[0.3, 0.02]],
-        "weights": [1.0],
-        "k0": 2,
-        "tail_tol": 1e-10,
-    },
-    "nb": {
-        "kind": "nb-sweep",
-        "n_grid": [25, 100, 400, 1600],
-        "tail_tol": 1e-13,
-    },
-    "check": {
-        "kind": "check",
-        "seed": 1,
-        "count": 200,
-    },
-    "demo-intro": {
-        "kind": "demo-intro",
-        "n_grid": [4, 16, 64, 256],
-        "tail_tol": 1e-10,
-    },
+    "markov": {"kind": "markov-sweep", "n_grid": [50, 100, 200, 400]},
+    "nb": {"kind": "nb-sweep", "n_grid": [25, 100, 400, 1600], "tail_tol": 1e-13},
+    "check": {"kind": "check"},
+    "demo-intro": {"kind": "demo-intro", "n_grid": [4, 16, 64, 256]},
 }
 
 

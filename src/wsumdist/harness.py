@@ -81,8 +81,6 @@ EXAMPLE_G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
 
 KINDS = ("example", "iid-sweep", "markov-sweep", "nb-sweep", "check", "demo-intro")
 
-_RANDOMIZED_KINDS = ("check",)
-
 
 class DegenerateFitError(ValueError):
     """Raised when a rate fit has fewer than three positive points."""

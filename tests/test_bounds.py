@@ -20,13 +20,50 @@ from wsumdist.bounds import (
     lemma_fg_gap_sym,
 )
 from wsumdist.checks import gen_matched_pair
-from wsumdist.lattice import from_entries
+from wsumdist.lattice import factorial_moment, from_entries, moments, smoothness_u
 from wsumdist.markov import MBParams
 
 F = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
 G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
 
 TWO_BLOCKS = [BlockSpec.iid(F, G, 10), BlockSpec.iid(F, G, 100)]
+
+
+def _beta_ref(f, g, k):
+    return tuple(
+        factorial_moment(f, k, side) + factorial_moment(g, k, side)
+        for side in ("plus", "minus")
+    )
+
+
+def _per_summand_reference(summand_blocks, weights, s, sym):
+    """The former per-summand route: one value per summand, summed in
+    summand order, factor multiplied up in component order."""
+    u_sums = []
+    u_total = 0.0
+    variance_product = 1.0
+    for block in summand_blocks:
+        u_sum = float(sum(smoothness_u(f, g) for f, g in block))
+        sigma2_sum = float(
+            sum(max(moments(f).variance, moments(g).variance) for f, g in block)
+        )
+        u_sums.append(u_sum)
+        u_total += u_sum
+        variance_product *= 1.0 + sigma2_sum / u_sum
+    term = 0.0
+    for block, u_sum in zip(summand_blocks, u_sums):
+        betas1 = [_beta_ref(f, g, s + 1) for f, g in block]
+        if sym:
+            betas2 = [_beta_ref(f, g, s + 2) for f, g in block]
+            skew = float(sum(abs(bp - bm) for bp, bm in betas1))
+            correction = float(
+                sum(b2p + b2m for b2p, b2m in betas2) + sum(bm for _, bm in betas1)
+            )
+            term += u_sum ** (-s / 2.0) * (skew + correction * u_sum**-0.5)
+        else:
+            term += float(sum(bp + bm for bp, bm in betas1)) * u_sum ** (-s / 2.0)
+    ratio = max(weights) / min(weights)
+    return 1.0 * ratio * u_total**-0.5 * variance_product * term
 
 
 class TestBlockSpec:
@@ -42,9 +79,37 @@ class TestBlockSpec:
         with pytest.raises(ValueError):
             BlockSpec.iid(F, G, 4, weight=0.0)
         with pytest.raises(ValueError):
-            BlockSpec(f=F, g=G, n=2, f_list=(F, F), g_list=None)
+            BlockSpec.from_summands((F, F), (G,))  # unequal lengths
+        with pytest.raises(ValueError):
+            BlockSpec.from_summands((), ())
+        with pytest.raises(ValueError):
+            BlockSpec(pairs=((F, G),), counts=(0,))
+        with pytest.raises(ValueError):
+            BlockSpec(pairs=((F, G), (F, F)), counts=(2,))
         with pytest.raises(ValueError):
             BlockSpec.iid(F - G, G, 4)  # signed summand rejected
+
+    def test_repeated_objects_group_to_iid(self):
+        spec = BlockSpec.from_summands((F,) * 3, (G,) * 3)
+        assert spec.is_iid
+        assert spec.n == 3
+        assert spec.pairs == ((F, G),)
+        assert spec.counts == (3,)
+        grouped = bound_iid([spec], 3)
+        direct = bound_iid([BlockSpec.iid(F, G, 3)], 3)
+        assert grouped.to_json_dict() == direct.to_json_dict()
+
+    def test_grouping_keeps_first_seen_order(self):
+        spec = BlockSpec.from_summands((F, G, F, F), (G, G, G, G))
+        assert spec.pairs == ((F, G), (G, G))
+        assert spec.counts == (3, 1)
+        assert spec.n == 4
+
+    def test_equal_valued_distinct_objects_stay_apart(self):
+        twin = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
+        spec = BlockSpec.from_summands((F, twin), (G, G))
+        assert not spec.is_iid
+        assert spec.counts == (1, 1)
 
 
 class TestCheckAssumptions:
@@ -61,6 +126,27 @@ class TestCheckAssumptions:
 
     def test_identical_pair_any_order(self):
         assert check_assumptions([BlockSpec.iid(F, F, 5)], 4).ok
+
+    def test_multi_pair_zero_overlap_warned(self):
+        point = from_entries({2: 1.0})  # u = 0, matched with itself
+        spec = BlockSpec.from_summands((F, point, F), (G, point, G))
+        report = check_assumptions([spec], 3)
+        assert "block 0: some summand has zero shift overlap u" in report.warnings
+        assert not any("not matched" in w for w in report.warnings)
+
+    def test_multi_pair_order_mismatch_warned(self):
+        f2, g2 = gen_matched_pair(7, 2)
+        assert abs(
+            factorial_moment(f2, 3, "plus") - factorial_moment(g2, 3, "plus")
+        ) > 1e-6
+        spec = BlockSpec.from_summands((F, f2, F), (G, g2, G))
+        matched = check_assumptions([spec], 2)
+        assert not any("not matched" in w for w in matched.warnings)
+        report = check_assumptions([spec], 3)
+        assert (
+            "block 0: factorial moments not matched through order 3"
+            in report.warnings
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -126,6 +212,31 @@ class TestBoundIndependent:
         report = bound_independent([spec], 1)
         assert report.factor > 0.0
         assert report.recompose() == report.factor
+
+    def test_grouped_block_equals_iid_block(self):
+        grouped = BlockSpec.from_summands((F,) * 10, (G,) * 10)
+        direct = BlockSpec.iid(F, G, 10)
+        for bound, s in ((bound_independent, 3), (bound_independent_sym, 2)):
+            assert bound([grouped], s).to_json_dict() == bound([direct], s).to_json_dict()
+
+    @pytest.mark.parametrize("sym", [False, True])
+    def test_distinct_summands_match_per_summand_sum(self, sym):
+        s = 2
+        summand_blocks = [
+            [gen_matched_pair(seed, s) for seed in range(5)],
+            [gen_matched_pair(seed, s) for seed in range(100, 103)],
+        ]
+        weights = (1.0, math.sqrt(2.0))
+        blocks = [
+            BlockSpec.from_summands(
+                [f for f, _ in block], [g for _, g in block], weight=w
+            )
+            for block, w in zip(summand_blocks, weights)
+        ]
+        assert [b.counts for b in blocks] == [(1,) * 5, (1,) * 3]
+        bound = bound_independent_sym if sym else bound_independent
+        report = bound(blocks, s)
+        assert report.factor == _per_summand_reference(summand_blocks, weights, s, sym)
 
 
 class TestBoundIndependentSym:
