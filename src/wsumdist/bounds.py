@@ -220,6 +220,8 @@ def _independent_prefactor(
     variance_product = 1.0
     for i, block in enumerate(blocks):
         u_sum = block.total(smoothness_u)
+        if u_sum <= 0.0:
+            raise ValueError(f"block {i}: zero shift overlap u in every summand")
         sigma2_sum = block.total(
             lambda f, g: max(moments(f).variance, moments(g).variance)
         )
@@ -299,6 +301,8 @@ def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
     u_total = 0.0
     for i, block in enumerate(blocks):
         u = smoothness_u(*block.pairs[0])
+        if u <= 0.0:
+            raise ValueError(f"block {i}: zero shift overlap u")
         u_total += block.n * u
         components[f"block{i}.u"] = u
         components[f"block{i}.n"] = float(block.n)

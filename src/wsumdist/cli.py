@@ -1,8 +1,10 @@
 """Command line interface for the experiment sweeps and the check suite.
 
-Subcommands: example, markov, nb, check, demo-intro, fit.  Every run is
-driven by an ExperimentConfig assembled from built-in defaults, then an
-optional --config JSON file, then explicit flags (later layers win).
+Subcommands: example, markov, nb, check, demo-intro, fit.  Every sweep and
+check run is driven by an ExperimentConfig assembled from built-in
+defaults, then an optional --config JSON file, then explicit flags (later
+layers win); fit reads a sweep CSV and takes only --column, --json and
+--out.
 Sweeps print a readable table by default or the full JSON payload with
 --json, and write the complete CSV table to --out; repeated runs with the
 same config and seed produce byte-identical CSV and JSON.
@@ -108,14 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="two Poisson-plus-coin laws drifting together",
     )
-    fit = sub.add_parser(
-        "fit", parents=[common], help="log-log rate fit of a sweep CSV"
-    )
+    fit = sub.add_parser("fit", help="log-log rate fit of a sweep CSV")
     fit.add_argument("csv_path", help="CSV with an n column and a value column")
     fit.add_argument(
         "--column",
         default="distance",
         help="value column to fit against n (default: distance)",
+    )
+    fit.add_argument("--out", help="write the fitted line as CSV to this path")
+    fit.add_argument(
+        "--json", action="store_true", help="print the fit as JSON instead of text"
     )
     return parser
 
@@ -209,12 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             return _run_check_cmd(cfg, args.json)
         if args.command == "example":
-            result = run_example(
-                cfg.n_grid,
-                weights=cfg.weights,
-                s=cfg.s,
-                equal_sizes=cfg.kind == "iid-sweep",
-            )
+            result = run_example(cfg.n_grid, weights=cfg.weights, s=cfg.s)
         elif args.command == "markov":
             result = run_markov(cfg)
         elif args.command == "nb":

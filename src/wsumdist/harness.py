@@ -79,7 +79,7 @@ SQRT2 = math.sqrt(2.0)
 EXAMPLE_F = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
 EXAMPLE_G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
 
-KINDS = ("example", "iid-sweep", "markov-sweep", "nb-sweep", "check", "demo-intro")
+KINDS = ("example", "markov-sweep", "nb-sweep", "check", "demo-intro")
 
 
 class DegenerateFitError(ValueError):
@@ -332,12 +332,12 @@ def _flatten_components(report: BoundReport) -> tuple[tuple[str, ...], tuple]:
     return keys, tuple(report.components[k] for k in keys)
 
 
-def _block_sizes(n: int, weights: Sequence[float], equal_sizes: bool) -> list[int]:
-    # Default two-block rule: the first block gets ceil(sqrt(n)) summands,
-    # the second (and any further) block n each, so the first block's share
-    # vanishes as the sweep grows.
-    if equal_sizes or len(weights) == 1:
-        return [n] * len(weights)
+def _block_sizes(n: int, weights: Sequence[float]) -> list[int]:
+    # The first block gets ceil(sqrt(n)) summands, the second (and any
+    # further) block n each, so the first block's share vanishes as the
+    # sweep grows; a single weight carries all n.
+    if len(weights) == 1:
+        return [n]
     return [math.isqrt(n - 1) + 1] + [n] * (len(weights) - 1)
 
 
@@ -348,7 +348,6 @@ def run_example(
     f: LatticeMeasure | None = None,
     g: LatticeMeasure | None = None,
     s: int = 3,
-    equal_sizes: bool = False,
 ) -> SweepResult:
     """Sweep exact Kolmogorov distance between weighted matched block sums
     against the iid structural factor.
@@ -387,7 +386,7 @@ def run_example(
     rows = []
     points = []
     for n in grid:
-        sizes = _block_sizes(n, weights, equal_sizes)
+        sizes = _block_sizes(n, weights)
         blocks = [
             BlockSpec.iid(f, g, size, weight) for size, weight in zip(sizes, weights)
         ]

@@ -4,25 +4,25 @@ A weight basis fixes positive reals ``w_1, ..., w_N``.  A weighted measure
 stores one lattice measure per weight; its law is their product pushed
 onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
 acts weight by weight on the integer lattice, so it never loses support
-identity to float rounding.  Real values are formed only where a
-cumulative function is read: the Kolmogorov distance builds them once on
-the union of both laws' lattice points, the concentration function from
-one measure's atoms.  In both, real values within a tolerance
-proportional to the largest value in play are one location.
+identity to float rounding.  A measure is only its factors: real values
+are formed only where a cumulative function is read, by one builder that
+raises ResourceLimitError past SUPPORT_LIMIT points.  The Kolmogorov
+distance builds them once on the union of both laws' lattice points, the
+concentration function on its factors' nonzero supports.  In both, real
+values within a tolerance proportional to the largest value in play are
+one location.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .lattice import (
     LatticeMeasure,
-    PROBABILITY_MASS_TOL,
     _sorted_union,
     convolve,
     delta,
@@ -42,8 +42,8 @@ __all__ = [
     "wconcentration",
 ]
 
-# A result exceeding this many support points aborts with ResourceLimitError
-# instead of exhausting memory.
+# Building real values on more lattice points than this aborts with
+# ResourceLimitError instead of exhausting memory.
 SUPPORT_LIMIT = 10**7
 
 # Two support points share a CDF location iff their real values differ by at
@@ -52,7 +52,7 @@ MERGE_TOL_SCALE = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a weighted support would exceed SUPPORT_LIMIT points."""
+    """Raised when real values would be built on more than SUPPORT_LIMIT points."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,6 @@ class WeightBasis:
     def size(self) -> int:
         return len(self.weights)
 
-    @property
-    def ratio(self) -> float:
-        """max weight / min weight; enters every weighted bound factor."""
-        return max(self.weights) / min(self.weights)
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedMeasure:
@@ -87,8 +82,7 @@ class WeightedMeasure:
     order, with ``delta(0)`` on weights that carry nothing; the measure is
     their product pushed through ``(k_1, ..., k_N) -> sum_i k_i w_i``.
     Construct via :func:`lift` and :func:`wconvolve`, or directly from one
-    law per weight.  Real-valued atoms are built once, on first use, by
-    :attr:`masses`, :meth:`values` and everything reading them.
+    law per weight.
     """
 
     basis: WeightBasis
@@ -98,11 +92,6 @@ class WeightedMeasure:
         factors = tuple(self.factors)
         if len(factors) != self.basis.size:
             raise ValueError("need exactly one factor per weight of the basis")
-        count = math.prod(len(f) for f in factors)
-        if count > SUPPORT_LIMIT:
-            raise ResourceLimitError(
-                f"weighted support would hold {count} points (limit {SUPPORT_LIMIT})"
-            )
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -114,53 +103,9 @@ class WeightedMeasure:
             tv *= f.tv
         return budget
 
-    @cached_property
-    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atom values and masses in lexicographic order of the factor
-        supports, with products that are exactly 0.0 dropped."""
-        values = np.zeros(1)
-        masses = np.ones(1)
-        for f, w in zip(self.factors, self.basis.weights):
-            values = np.add.outer(values, f.support * w).ravel()
-            masses = np.multiply.outer(masses, f.masses).ravel()
-        keep = masses != 0.0
-        values, masses = values[keep], masses[keep]
-        values.setflags(write=False)
-        masses.setflags(write=False)
-        return values, masses
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self._atoms[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    @property
-    def tv(self) -> float:
-        return float(np.abs(self.masses).sum())
-
-    @property
-    def is_probability(self) -> bool:
-        if self.masses.size == 0:
-            return False
-        if np.any(self.masses < 0.0):
-            return False
-        return abs(self.total_mass - 1.0) <= PROBABILITY_MASS_TOL + self.error_budget
-
-    def values(self) -> np.ndarray:
-        """Real positions of the atoms, aligned with :attr:`masses`."""
-        return self._atoms[0]
-
-    def __len__(self) -> int:
-        return int(self.masses.size)
-
     def __repr__(self) -> str:
-        return (
-            f"WeightedMeasure({len(self)} atoms over weights "
-            f"{self.basis.weights}, mass={self.total_mass:.6g})"
-        )
+        sizes = tuple(len(f) for f in self.factors)
+        return f"WeightedMeasure(factor sizes {sizes}, weights {self.basis.weights})"
 
 
 def lift(f: LatticeMeasure, index: int, basis: WeightBasis) -> WeightedMeasure:
@@ -217,16 +162,56 @@ def _nonzero(f: LatticeMeasure) -> tuple[np.ndarray, np.ndarray]:
     return f.support[keep], f.masses[keep]
 
 
+def _laid_on(support: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``part = (points, masses)`` as masses on the sorted ``support``."""
+    points, masses = part
+    out = np.zeros(support.size)
+    out[np.searchsorted(support, points)] = masses
+    return out
+
+
+def _real_points(
+    weights: Sequence[float],
+    supports: Sequence[np.ndarray],
+    *sides: Sequence[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Real values and product masses on the lattice box ``supports[0] x ...``.
+
+    ``sides[j][i]`` holds side j's masses on ``supports[i]``.  Returns the
+    values ``sum_i k_i w_i`` in lexicographic order of the box and, per
+    side, the product of its masses at each point; points where every
+    side's product is exactly 0.0 are dropped.  Past SUPPORT_LIMIT box
+    points it raises ResourceLimitError before allocating.
+    """
+    count = math.prod(support.size for support in supports)
+    if count > SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"weighted support would range over {count} lattice points "
+            f"(limit {SUPPORT_LIMIT})"
+        )
+    values = np.zeros(1)
+    products = [np.ones(1) for _ in sides]
+    for i, (support, w) in enumerate(zip(supports, weights)):
+        values = np.add.outer(values, support * w).ravel()
+        products = [
+            np.multiply.outer(product, side[i]).ravel()
+            for product, side in zip(products, sides)
+        ]
+    keep = products[0] != 0.0
+    for product in products[1:]:
+        keep |= product != 0.0
+    return values[keep], [product[keep] for product in products]
+
+
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
 
     Both laws are laid on one set of lattice points: per weight, the union
     of the two factors' supports where they carry nonzero mass.  Each
-    point's real value is built as for the measures' own atoms and sorted
-    once for both sides; neither measure builds its atoms.  Values that
-    differ by at most the merge tolerance are one CDF location (clustered
-    by consecutive gaps), and the two CDFs are compared at each cluster's
-    last point.
+    point's real value is built once and sorted once for both sides.
+    Values that differ by at most the merge tolerance are one CDF location
+    (clustered by consecutive gaps), and the two CDFs are compared at each
+    cluster's last point.
 
     The work is linear in the product over weights of the union sizes,
     which exceeds both operands' atom counts when the laws spread over
@@ -235,27 +220,14 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
-    sides = [(_nonzero(f), _nonzero(g)) for f, g in zip(a.factors, b.factors)]
-    unions = [_sorted_union(fs, gs) for (fs, _), (gs, _) in sides]
-    count = math.prod(u.size for u in unions)
-    if count > SUPPORT_LIMIT:
-        raise ResourceLimitError(
-            f"Kolmogorov distance would range over {count} lattice points "
-            f"(limit {SUPPORT_LIMIT})"
-        )
-    values = np.zeros(1)
-    mass_a = np.ones(1)
-    mass_b = np.ones(1)
-    for support, ((fs, fm), (gs, gm)), w in zip(unions, sides, a.basis.weights):
-        on_f = np.zeros(support.size)
-        on_f[np.searchsorted(support, fs)] = fm
-        on_g = np.zeros(support.size)
-        on_g[np.searchsorted(support, gs)] = gm
-        values = np.add.outer(values, support * w).ravel()
-        mass_a = np.multiply.outer(mass_a, on_f).ravel()
-        mass_b = np.multiply.outer(mass_b, on_g).ravel()
-    keep = (mass_a != 0.0) | (mass_b != 0.0)
-    values, mass_a, mass_b = values[keep], mass_a[keep], mass_b[keep]
+    parts = [(_nonzero(f), _nonzero(g)) for f, g in zip(a.factors, b.factors)]
+    unions = [_sorted_union(fp[0], gp[0]) for fp, gp in parts]
+    values, (mass_a, mass_b) = _real_points(
+        a.basis.weights,
+        unions,
+        [_laid_on(u, fp) for u, (fp, _) in zip(unions, parts)],
+        [_laid_on(u, gp) for u, (_, gp) in zip(unions, parts)],
+    )
     if values.size == 0:
         return 0.0
     order = np.argsort(values, kind="stable")
@@ -269,15 +241,20 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
 
 
 def wconcentration(f: WeightedMeasure, h: float) -> float:
-    """Maximal probability of a closed window ``[x, x + h]`` on the real line."""
-    if not f.is_probability:
+    """Maximal probability of a closed window ``[x, x + h]`` on the real line.
+
+    Every factor must be a probability distribution.  Past SUPPORT_LIMIT
+    atoms it raises ResourceLimitError before allocating.
+    """
+    if not all(factor.is_probability for factor in f.factors):
         raise ValueError("wconcentration requires a probability distribution")
     if not (h >= 0.0):
         raise ValueError("window length h must be nonnegative")
-    values = f.values()
+    supports, masses = zip(*(_nonzero(factor) for factor in f.factors))
+    values, (masses,) = _real_points(f.basis.weights, supports, masses)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    masses = f.masses[order]
+    masses = masses[order]
     tol = _merge_tol(values)
     cum = np.cumsum(masses)
     right = np.searchsorted(values, values + h + tol, side="right") - 1

@@ -127,6 +127,14 @@ class TestCheckAssumptions:
     def test_identical_pair_any_order(self):
         assert check_assumptions([BlockSpec.iid(F, F, 5)], 4).ok
 
+    @pytest.mark.parametrize(
+        "bound", [bound_iid, bound_independent, bound_independent_sym]
+    )
+    def test_zero_shift_overlap_raises(self, bound):
+        point = from_entries({2: 1.0})  # u = 0
+        with pytest.raises(ValueError, match="block 1: zero shift overlap u"):
+            bound([BlockSpec.iid(F, G, 4), BlockSpec.iid(point, point, 4)], 2)
+
     def test_multi_pair_zero_overlap_warned(self):
         point = from_entries({2: 1.0})  # u = 0, matched with itself
         spec = BlockSpec.from_summands((F, point, F), (G, point, G))

@@ -61,8 +61,9 @@ class TestExperimentConfig:
     def test_defaults_and_kinds(self):
         cfg = ExperimentConfig(kind="check")
         assert cfg.seed == 1 and cfg.count == 200
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="frobnicate")
+        for kind in ("frobnicate", "iid-sweep"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(kind=kind)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -298,6 +299,14 @@ class TestCli:
     def test_count_flag_is_check_only(self):
         assert _cli("example", "--count", "3").returncode == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--seed", "3"), ("--config", "c.json"), ("--n-grid", "10"), ("--tail-tol", "0.1")],
+        ids=["seed", "config", "n-grid", "tail-tol"],
+    )
+    def test_fit_rejects_sweep_flags(self, flag):
+        assert _cli("fit", "x.csv", *flag).returncode == 2
+
     def test_fit_round_trip(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert _cli("example", "--n-grid", "16,64,256", "--out", str(out)).returncode == 0
@@ -371,7 +380,9 @@ class TestCli:
 
     def test_resource_guard_exit_code(self, tmp_path):
         cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps({"kind": "iid-sweep", "n_grid": [30000]}))
+        # three weights: the distance's union box holds 42.2 M lattice points
+        weights = [1.0, math.sqrt(2.0), math.sqrt(3.0)]
+        cfg.write_text(json.dumps({"weights": weights, "n_grid": [1024]}))
         proc = _cli("example", "--config", str(cfg))
         assert proc.returncode == 3
         assert "resource guard" in proc.stderr

@@ -91,15 +91,29 @@ def weighted_pairs(draw):
     return draw(probability_laws()), draw(probability_laws()), weights, sizes
 
 
+def _atoms(m):
+    """Real atom values and masses of a weighted measure, in lexicographic
+    order of the factor supports, with products that are exactly 0.0
+    dropped: the outer-product build the measure once cached itself."""
+    values = np.zeros(1)
+    masses = np.ones(1)
+    for f, w in zip(m.factors, m.basis.weights):
+        values = np.add.outer(values, f.support * w).ravel()
+        masses = np.multiply.outer(masses, f.masses).ravel()
+    keep = masses != 0.0
+    return values[keep], masses[keep]
+
+
 def _clustered_distance(a, b):
     """Kolmogorov distance over both measures' own atoms: concatenate them,
     argsort, cluster by consecutive gaps, and sum each side per cluster."""
-    values = np.concatenate([a.values(), b.values()])
+    (values_a, masses_a), (values_b, masses_b) = _atoms(a), _atoms(b)
+    values = np.concatenate([values_a, values_b])
     if values.size == 0:
         return 0.0
-    masses = np.concatenate([a.masses, b.masses])
+    masses = np.concatenate([masses_a, masses_b])
     from_a = np.concatenate(
-        [np.ones(a.masses.size, dtype=bool), np.zeros(b.masses.size, dtype=bool)]
+        [np.ones(masses_a.size, dtype=bool), np.zeros(masses_b.size, dtype=bool)]
     )
     order = np.argsort(values, kind="stable")
     values, masses, from_a = values[order], masses[order], from_a[order]
@@ -113,6 +127,21 @@ def _clustered_distance(a, b):
         np.bincount(cluster_id[~from_a], weights=masses[~from_a], minlength=clusters)
     )
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _atom_concentration(m, h):
+    """Window concentration over the measure's own atoms, sorted and merged
+    within the distance's tolerance: the route before the shared builder."""
+    values, masses = _atoms(m)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    masses = masses[order]
+    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    cum = np.cumsum(masses)
+    right = np.searchsorted(values, values + h + tol, side="right") - 1
+    left = np.searchsorted(values, values - tol, side="left")
+    below_left = np.concatenate([[0.0], cum])
+    return float(np.max(cum[right] - below_left[left]))
 
 
 # Bases whose weight ratios are pairwise irrational: on small supports no two
@@ -159,26 +188,23 @@ class TestBasis:
         with pytest.raises(ValueError):
             WeightBasis((1.0, 0.0))
 
-    def test_ratio(self):
-        assert BASIS.ratio == pytest.approx(SQRT2, abs=1e-15)
-
 
 class TestLift:
     def test_point_mass_position(self):
-        m = lift(delta(1), 2, BASIS)
-        assert m.masses.tolist() == [1.0]
-        assert m.values()[0] == pytest.approx(SQRT2, abs=1e-15)
+        values, masses = _atoms(lift(delta(1), 2, BASIS))
+        assert masses.tolist() == [1.0]
+        assert values[0] == pytest.approx(SQRT2, abs=1e-15)
 
     def test_preserves_tv(self):
-        assert lift(F, 1, BASIS).tv == tv_norm(F)
-        assert lift(F - G, 2, BASIS).tv == tv_norm(F - G)
+        assert np.abs(_atoms(lift(F, 1, BASIS))[1]).sum() == tv_norm(F)
+        assert np.abs(_atoms(lift(F - G, 2, BASIS))[1]).sum() == tv_norm(F - G)
 
     def test_char_fn_scaling(self):
         # transform of the lift at t equals the lattice transform at w*t
         t = 1.0
-        lifted = lift(F, 2, BASIS)
+        values, masses = _atoms(lift(F, 2, BASIS))
         direct = char_fn(F, SQRT2 * t, 0.0, 0)
-        via_values = np.sum(lifted.masses * np.exp(1j * t * lifted.values()))
+        via_values = np.sum(masses * np.exp(1j * t * values))
         assert abs(via_values - direct) <= 1e-12
 
     def test_index_out_of_range(self):
@@ -196,8 +222,9 @@ class TestWConvolve:
     def test_mass_multiplies(self):
         a = lift(F, 1, BASIS)
         b = lift(G, 2, BASIS)
-        assert wconvolve(a, b).total_mass == pytest.approx(
-            a.total_mass * b.total_mass, abs=1e-12
+        total = _atoms(wconvolve(a, b))[1].sum()
+        assert total == pytest.approx(
+            _atoms(a)[1].sum() * _atoms(b)[1].sum(), abs=1e-12
         )
 
     def test_basis_mismatch(self):
@@ -222,19 +249,22 @@ class TestWeightedSum:
     def test_single_binomial(self):
         basis = WeightBasis((1.0,))
         out = weighted_sum_distribution([(from_entries({0: 0.5, 1: 0.5}), 2, 1)], basis)
-        got = dict(zip(out.values().tolist(), out.masses.tolist()))
+        values, masses = _atoms(out)
+        got = dict(zip(values.tolist(), masses.tolist()))
         assert got == {0.0: 0.25, 1.0: 0.5, 2.0: 0.25}
 
     def test_scaled_point(self):
         basis = WeightBasis((2.0,))
-        out = weighted_sum_distribution([(delta(1), 3, 1)], basis)
-        assert out.values()[0] == pytest.approx(6.0, abs=1e-15)
-        assert out.masses[0] == 1.0
+        values, masses = _atoms(weighted_sum_distribution([(delta(1), 3, 1)], basis))
+        assert values[0] == pytest.approx(6.0, abs=1e-15)
+        assert masses[0] == 1.0
 
     def test_example_small_total_mass(self):
         out = weighted_sum_distribution([(F, 2, 1), (F, 2, 2)], BASIS)
-        assert out.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert out.is_probability
+        masses = _atoms(out)[1]
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(masses >= 0.0)
+        assert all(f.is_probability for f in out.factors)
 
     def test_rejects_signed_component(self):
         with pytest.raises(ValueError):
@@ -398,18 +428,12 @@ class TestUnionRoute:
         with pytest.raises(ResourceLimitError):
             wkolmogorov_distance(a, b)
 
-    def test_builds_no_atoms(self):
-        a = weighted_sum_distribution([(F, 2, 1), (F, 3, 2)], BASIS)
-        b = weighted_sum_distribution([(G, 2, 1), (G, 3, 2)], BASIS)
-        wkolmogorov_distance(a, b)
-        assert "_atoms" not in a.__dict__
-        assert "_atoms" not in b.__dict__
-
 
 class TestWConcentration:
     def test_covers_everything(self):
         a = weighted_sum_distribution([(F, 1, 1), (F, 1, 2)], BASIS)
-        diameter = float(a.values()[-1] - a.values()[0])
+        values = _atoms(a)[0]
+        diameter = float(values.max() - values.min())
         assert wconcentration(a, diameter) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
@@ -421,11 +445,27 @@ class TestWConcentration:
         m = lift(from_entries({0: 0.5, 1: 0.5}), 2, basis)
         assert wconcentration(m, 1.0) == pytest.approx(0.5, abs=1e-15)
 
+    @given(probability_laws(), st.sampled_from(PROPERTY_BASES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_atom_route(self, f, weights, data):
+        sizes = tuple(data.draw(st.integers(1, 3)) for _ in weights)
+        m = _block_sums(f, sizes, weights)
+        for h in (0.0, 0.3, 1.0, 2.5):
+            assert wconcentration(m, h) == _atom_concentration(m, h)
+
+    def test_rejects_signed_factor(self):
+        # total mass 1, but one factor carries a negative mass
+        signed = from_entries({0: 1.5, 1: -0.5})
+        with pytest.raises(ValueError):
+            wconcentration(WeightedMeasure(BASIS, (F, signed)), 1.0)
+
 
 class TestResourceGuard:
-    def test_pair_blowup_raises(self):
+    def test_product_builds_but_reads_raise(self):
+        # 4001 ** 2 lattice points: the product form is cheap, real values are not
         wide = from_entries({k: 1.0 / 4001 for k in range(4001)})
-        a = lift(wide, 1, BASIS)
-        b = lift(wide, 2, BASIS)
+        m = wconvolve(lift(wide, 1, BASIS), lift(wide, 2, BASIS))
         with pytest.raises(ResourceLimitError):
-            wconvolve(a, b)
+            wkolmogorov_distance(m, m)
+        with pytest.raises(ResourceLimitError):
+            wconcentration(m, 1.0)
