@@ -112,10 +112,6 @@ def _random_signed(rng: np.random.Generator) -> LatticeMeasure:
     return LatticeMeasure(support.astype(np.int64), masses)
 
 
-def _dump_measure(m: LatticeMeasure) -> list[list[float]]:
-    return [[int(k), float(v)] for k, v in m.entries()]
-
-
 def gen_matched_pair(
     seed: int | np.random.Generator, s: int
 ) -> tuple[LatticeMeasure, LatticeMeasure]:
@@ -170,7 +166,7 @@ def _check_mineka2(rng: np.random.Generator) -> list[tuple]:
     lhs = np.abs(char_fn(f, t))
     mid = 1.0 - u * t**2 / (4.0 * math.pi)
     rhs = np.exp(-u * np.sin(t / 2.0) ** 2 / math.pi)
-    payload = {"measure": _dump_measure(f), "u": u}
+    payload = {"measure": f.to_json_dict()["entries"], "u": u}
     out = []
     for i in range(t.size):
         ctx = dict(payload, t=float(t[i]))
@@ -185,7 +181,7 @@ def _check_roos(rng: np.random.Generator) -> list[tuple]:
     t = np.linspace(-math.pi, math.pi, GRID_POINTS)
     lhs = np.abs(char_fn(f, t, center=summary.mean, order=1))
     rhs = math.pi**2 * summary.variance * np.abs(np.sin(t / 2.0))
-    payload = {"measure": _dump_measure(f), "variance": summary.variance}
+    payload = {"measure": f.to_json_dict()["entries"], "variance": summary.variance}
     return [
         (
             float(lhs[i]),
@@ -207,7 +203,7 @@ def _check_inversion(rng: np.random.Generator) -> list[tuple]:
     t = np.linspace(-math.pi, math.pi, SIMPSON_PANELS + 1)
     base = np.abs(char_fn(m, t)) ** 2
     deriv = np.abs(char_fn(m, t, center=center, order=1)) ** 2
-    payload = {"measure": _dump_measure(m), "center": center}
+    payload = {"measure": m.to_json_dict()["entries"], "center": center}
     out = []
     for b in (1.0, 2.0):
         integral = simpson(base + deriv / b**2, t)
@@ -225,7 +221,7 @@ def _check_ac1(rng: np.random.Generator) -> list[tuple]:
     t = np.linspace(-1.0 / h, 1.0 / h, SIMPSON_PANELS + 1)
     integral = simpson(np.abs(char_fn(f, t)), t)
     rhs = (96.0 / 95.0) ** 2 * h * integral
-    payload = {"measure": _dump_measure(f), "h": h}
+    payload = {"measure": f.to_json_dict()["entries"], "h": h}
     return [(q, rhs, QUADRATURE_SLACK, payload)]
 
 
@@ -235,7 +231,7 @@ def _check_ac3(rng: np.random.Generator) -> list[tuple]:
     a = float(rng.uniform(0.1, 6.0))
     lhs = concentration(f, h)
     rhs = (1.0 + h / a) * concentration(f, a)
-    payload = {"measure": _dump_measure(f), "h": h, "a": a}
+    payload = {"measure": f.to_json_dict()["entries"], "h": h, "a": a}
     return [(lhs, rhs, EXACT_SLACK, payload)]
 
 
@@ -254,7 +250,7 @@ def _check_expansion_residual(rng: np.random.Generator) -> list[tuple]:
         * 2.0 ** (s + 1)
         / math.factorial(s + 1)
     )
-    payload = {"measure": _dump_measure(f), "s": s}
+    payload = {"measure": f.to_json_dict()["entries"], "s": s}
     return [(tv_norm(residual), cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
 
 
@@ -262,14 +258,22 @@ def _check_matched_gap(rng: np.random.Generator) -> list[tuple]:
     s = int(rng.integers(1, 4))
     f, g = gen_matched_pair(rng, s)
     gap, cap = lemma_fg_gap(f, g, s)
-    payload = {"f": _dump_measure(f), "g": _dump_measure(g), "s": s}
+    payload = {
+        "f": f.to_json_dict()["entries"],
+        "g": g.to_json_dict()["entries"],
+        "s": s,
+    }
     return [(gap, cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
 
 
 def _check_matched_gap_sym(rng: np.random.Generator) -> list[tuple]:
     f, g = gen_matched_pair(rng, 2)
     residual, cap = lemma_fg_gap_sym(f, g, 2)
-    payload = {"f": _dump_measure(f), "g": _dump_measure(g), "s": 2}
+    payload = {
+        "f": f.to_json_dict()["entries"],
+        "g": g.to_json_dict()["entries"],
+        "s": 2,
+    }
     return [(residual, cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
 
 
@@ -310,7 +314,7 @@ def _check_norms(rng: np.random.Generator) -> list[tuple]:
     a = _random_signed(rng)
     b = _random_signed(rng)
     ab = convolve(a, b)
-    payload = {"a": _dump_measure(a), "b": _dump_measure(b)}
+    payload = {"a": a.to_json_dict()["entries"], "b": b.to_json_dict()["entries"]}
     out = [
         (
             tv_norm(ab),

@@ -1,19 +1,22 @@
 """Command line interface for the experiment sweeps and the check suite.
 
 Subcommands: example, markov, nb, check, demo-intro, fit.  Every sweep and
-check run is driven by an ExperimentConfig assembled from built-in
-defaults, then an optional --config JSON file, then explicit flags (later
-layers win); fit reads a sweep CSV and takes only --column, --json and
---out.
+check run is driven by an ExperimentConfig assembled from the command's
+built-in defaults, then an optional --config JSON file, then explicit
+flags (later layers win).  A config file's kind, when present, must be
+the command's own.  Each command takes only the flags it reads: --config,
+--out and --json everywhere; --n-grid on the four sweeps; --tail-tol on
+markov, nb and demo-intro; --seed and --count on check.  fit reads a
+sweep CSV and takes only --column, --json and --out.
 Sweeps print a readable table by default or the full JSON payload with
 --json, and write the complete CSV table to --out; repeated runs with the
 same config and seed produce byte-identical CSV and JSON.
 
-Exit codes: 0 on success, 1 when the config holds an invalid value or a
-file cannot be read or written (the reason goes to stderr as ``wsumdist:
-error: ...``) or ``fit`` gets an unusable CSV, 2 when the check suite
-reports failures, 3 when a computation trips the support-size resource
-guard.
+Exit codes: 0 on success, 1 when the config or a run's input holds an
+invalid value or a file cannot be read or written (the reason goes to
+stderr as ``wsumdist: error: ...``) or ``fit`` gets an unusable CSV
+(``fit: ...``), 2 when the check suite reports failures or a flag is not
+the command's, 3 when a computation trips the support-size resource guard.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .checks import run_check
 from .harness import (
-    DegenerateFitError,
     ExperimentConfig,
     SweepResult,
     demo_intro,
@@ -39,18 +42,19 @@ from .harness import (
 )
 from .weighted import ResourceLimitError
 
-# Only what differs from ExperimentConfig's field defaults.
-_DEFAULTS: dict[str, dict] = {
-    "example": {
-        "kind": "example",
-        "n_grid": [16, 64, 256, 1024],
-        "weights": [1.0, 2.0**0.5],
-    },
-    "markov": {"kind": "markov-sweep", "n_grid": [50, 100, 200, 400]},
-    "nb": {"kind": "nb-sweep", "n_grid": [25, 100, 400, 1600], "tail_tol": 1e-13},
-    "check": {"kind": "check"},
-    "demo-intro": {"kind": "demo-intro", "n_grid": [4, 16, 64, 256]},
+# Each command's ExperimentConfig kind and the defaults where they differ
+# from ExperimentConfig's own.
+_COMMANDS: dict[str, tuple[str, dict]] = {
+    "example": (
+        "example",
+        {"n_grid": [16, 64, 256, 1024], "weights": [1.0, 2.0**0.5]},
+    ),
+    "markov": ("markov-sweep", {"n_grid": [50, 100, 200, 400]}),
+    "nb": ("nb-sweep", {"n_grid": [25, 100, 400, 1600], "tail_tol": 1e-13}),
+    "check": ("check", {}),
+    "demo-intro": ("demo-intro", {"n_grid": [4, 16, 64, 256]}),
 }
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -71,30 +75,31 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of ExperimentConfig fields")
     common.add_argument("--out", help="write the full CSV table to this path")
-    common.add_argument("--seed", type=int, help="master seed for randomized runs")
-    common.add_argument(
-        "--n-grid", type=_parse_grid, dest="n_grid", help="comma-separated counts"
-    )
-    common.add_argument(
-        "--tail-tol", type=float, dest="tail_tol", help="series truncation budget"
-    )
     common.add_argument(
         "--json", action="store_true", help="print the JSON payload instead of text"
+    )
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--n-grid", type=_parse_grid, dest="n_grid", help="comma-separated counts"
+    )
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument(
+        "--tail-tol", type=float, dest="tail_tol", help="series truncation budget"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "example",
-        parents=[common],
+        parents=[common, grid],
         help="matched two-weight sweep: distance vs structural factor",
     )
     sub.add_parser(
         "markov",
-        parents=[common],
+        parents=[common, grid, tail],
         help="Markov-Binomial vs signed compound-geometric sweep",
     )
     sub.add_parser(
         "nb",
-        parents=[common],
+        parents=[common, grid, tail],
         help="negative binomial matching sweep",
     )
     check = sub.add_parser(
@@ -102,12 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="seeded random-instance inequality suite",
     )
+    check.add_argument("--seed", type=int, help="master seed of the instances")
     check.add_argument(
         "--count", type=int, help="seeded instances per check family"
     )
     sub.add_parser(
         "demo-intro",
-        parents=[common],
+        parents=[common, grid, tail],
         help="two Poisson-plus-coin laws drifting together",
     )
     fit = sub.add_parser("fit", help="log-log rate fit of a sweep CSV")
@@ -125,21 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    payload = dict(_DEFAULTS[args.command])
+    kind, defaults = _COMMANDS[args.command]
+    payload = {"kind": kind, **defaults}
     if args.config:
         with open(args.config) as fh:
             file_payload = json.load(fh)
         if not isinstance(file_payload, dict):
             raise ValueError("config file must hold a JSON object")
+        if file_payload.get("kind", kind) != kind:
+            raise ValueError(
+                f"config kind {file_payload['kind']!r} does not match command "
+                f"{args.command!r} (kind {kind!r})"
+            )
         payload.update(file_payload)
     cfg = ExperimentConfig.from_json_dict(payload)
-    return cfg.override(
-        n_grid=args.n_grid,
-        seed=args.seed,
-        count=getattr(args, "count", None),
-        tail_tol=args.tail_tol,
-        out=args.out,
-    )
+    return cfg.override(**{k: v for k, v in vars(args).items() if k in _FIELDS})
 
 
 def _emit_sweep(result: SweepResult, cfg: ExperimentConfig, as_json: bool) -> None:
@@ -154,17 +160,17 @@ def _emit_sweep(result: SweepResult, cfg: ExperimentConfig, as_json: bool) -> No
 
 def _run_fit(args: argparse.Namespace) -> int:
     with open(args.csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        # A missing cell reads as "" and fails float() like any bad cell.
+        rows = list(csv.DictReader(fh, restval=""))
     if not rows or "n" not in rows[0] or args.column not in rows[0]:
         sys.stderr.write(
             f"fit: {args.csv_path} needs columns 'n' and {args.column!r}\n"
         )
         return 1
-    points = [(float(row["n"]), float(row[args.column])) for row in rows]
     try:
-        fit = fit_rate(points)
-    except DegenerateFitError as exc:
+        fit = fit_rate((float(row["n"]), float(row[args.column])) for row in rows)
+    except ValueError as exc:
+        # A non-numeric or missing cell, or too few positive points.
         sys.stderr.write(f"fit: {exc}\n")
         return 1
     if args.json:
@@ -205,11 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "fit":
             return _run_fit(args)
-        try:
-            cfg = _load_config(args)
-        except ValueError as exc:
-            sys.stderr.write(f"wsumdist: error: {exc}\n")
-            return 1
+        cfg = _load_config(args)
         if args.command == "check":
             return _run_check_cmd(cfg, args.json)
         if args.command == "example":
@@ -225,10 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 3
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"wsumdist: error: {exc}\n")
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,9 +4,11 @@ This module turns the library's exact-distribution machinery into small
 reproducible experiments: a two-weight matched-moment sweep (run_example),
 a Markov-Binomial vs signed-compound-geometric sweep (run_markov), a
 negative binomial matching sweep (run_nb), and a qualitative intro demo
-(demo_intro).  Each returns a SweepResult whose CSV and JSON renderings
-are byte-deterministic for a fixed configuration, and whose distance
-columns feed fit_rate for log-log order estimates.
+(demo_intro).  Each runner states one grid point as a row function and
+hands it to _sweep, the one table builder: it checks the grid, appends
+the bound's components after the headline columns, tags the bound's
+warnings with their n, and fits one column against n.  The SweepResult's
+CSV and JSON renderings are byte-deterministic for a fixed configuration.
 
 Randomized instance generation (gen_matched_pair) and the seeded
 inequality suite (run_check) live in the checks module and are re-exported
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,7 +69,6 @@ __all__ = [
     "run_markov",
     "run_nb",
     "write_csv",
-    "write_json",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -310,26 +311,58 @@ def write_csv(result: SweepResult, path: str) -> None:
         fh.write(result.to_csv_text())
 
 
-def write_json(payload: dict, path: str) -> None:
-    """Write a JSON payload with sorted keys and deterministic bytes."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json_text(payload))
-
-
 def json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _try_fit(points: list[tuple[float, float]]) -> RateFit | None:
+Headline = tuple[tuple[str, object], ...]
+
+
+def _sweep(
+    kind: str,
+    n_grid: Sequence[int],
+    row: Callable[[int], tuple[Headline, BoundReport | None]],
+    prelude: dict,
+    fit_column: str = "distance",
+) -> SweepResult:
+    """Tabulate row(n) over the grid, in grid order.
+
+    row returns the headline (name, value) pairs and the bound report, or
+    None when the sweep has no bound.  Each table row is n, the headline
+    values, then the report's components in sorted key order.  Every
+    report warning is recorded once per n as ``n=<n>: <warning>``.
+    fit_column is fitted against n; a fit with fewer than three positive
+    points is left out.
+    """
+    grid = [int(n) for n in n_grid]
+    if not grid:
+        raise ValueError("n_grid must be nonempty")
+    rows = []
+    warnings: list[str] = []
+    for n in grid:
+        head, report = row(n)
+        components = {} if report is None else report.components
+        keys = tuple(sorted(components))
+        columns = ("n", *(name for name, _ in head), *keys)
+        values = (value for _, value in head)
+        rows.append((n, *values, *(components[k] for k in keys)))
+        for w in () if report is None else report.warnings:
+            tag = f"n={n}: {w}"
+            if tag not in warnings:
+                warnings.append(tag)
+    at = columns.index(fit_column)
     try:
-        return fit_rate(points)
+        fit = fit_rate((r[0], r[at]) for r in rows)
     except DegenerateFitError:
-        return None
-
-
-def _flatten_components(report: BoundReport) -> tuple[tuple[str, ...], tuple]:
-    keys = tuple(sorted(report.components))
-    return keys, tuple(report.components[k] for k in keys)
+        fit = None
+    return SweepResult(
+        kind=kind,
+        columns=columns,
+        rows=tuple(rows),
+        fit=fit,
+        prelude=prelude,
+        warnings=tuple(warnings),
+    )
 
 
 def _block_sizes(n: int, weights: Sequence[float]) -> list[int]:
@@ -359,14 +392,11 @@ def run_example(
     computed: order-s factorial-moment matching, beta_{s+1}, smoothness u,
     and the value of the classical overlap criterion (negative here, so
     that route is unavailable).  Returns rows of distance, factor, and
-    their ratio plus every flattened factor component, and the fitted
-    log-log rate of distance against n.
+    their ratio plus every flattened factor component, the bound's
+    hypothesis warnings, and the fitted log-log rate of distance against n.
     """
     f = EXAMPLE_F if f is None else f
     g = EXAMPLE_G if g is None else g
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be nonempty")
     weights = tuple(float(w) for w in weights)
     basis = WeightBasis(weights)
 
@@ -382,10 +412,7 @@ def run_example(
     nu2 = prelude["nu2.f"]
     prelude["overlap_criterion"] = nu1 - nu2 - nu1**2
 
-    columns: tuple[str, ...] | None = None
-    rows = []
-    points = []
-    for n in grid:
+    def row(n: int) -> tuple[Headline, BoundReport]:
         sizes = _block_sizes(n, weights)
         blocks = [
             BlockSpec.iid(f, g, size, weight) for size, weight in zip(sizes, weights)
@@ -398,28 +425,16 @@ def run_example(
             [(g, size, i + 1) for i, size in enumerate(sizes)], basis
         )
         distance = wkolmogorov_distance(s_law, z_law)
-        keys, values = _flatten_components(report)
-        if columns is None:
-            columns = ("n", "n1", "n2", "distance", "factor", "ratio") + keys
         head = (
-            n,
-            sizes[0],
-            sizes[-1],
-            distance,
-            report.factor,
-            distance / report.factor,
+            ("n1", sizes[0]),
+            ("n2", sizes[-1]),
+            ("distance", distance),
+            ("factor", report.factor),
+            ("ratio", distance / report.factor),
         )
-        rows.append(head + values)
-        points.append((n, distance))
-    assert columns is not None
-    fit = _try_fit(points)
-    return SweepResult(
-        kind="example",
-        columns=columns,
-        rows=tuple(rows),
-        fit=fit,
-        prelude=prelude,
-    )
+        return head, report
+
+    return _sweep("example", n_grid, row, prelude)
 
 
 def run_markov(config: ExperimentConfig) -> SweepResult:
@@ -438,27 +453,26 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
     """
     if len(config.chains) != len(config.weights):
         raise ValueError("need exactly one (p, q_bar) chain per weight")
-    if not config.n_grid:
-        raise ValueError("n_grid must be nonempty")
     basis = WeightBasis(config.weights)
-    chain_laws = [mb_pmfs(p, q_bar, config.n_grid) for p, q_bar in config.chains]
-    columns: tuple[str, ...] | None = None
-    rows = []
-    points = []
-    warnings: list[str] = []
-    for i, n in enumerate(config.n_grid):
+
+    def chain_laws():
+        # Deferred to the first row, after _sweep has checked the grid;
+        # _sweep asks for the rows in grid order.
+        yield from zip(*(mb_pmfs(p, qb, config.n_grid) for p, qb in config.chains))
+
+    laws = chain_laws()
+
+    def row(n: int) -> tuple[Headline, BoundReport]:
+        h_parts = next(laws)
         pairs = []
-        h_parts = []
         d_parts = []
         mass_defect = 0.0
         mean_gap = 0.0
         var_gap = 0.0
-        for (p, q_bar), _w, laws in zip(config.chains, config.weights, chain_laws):
+        for (p, q_bar), w, h in zip(config.chains, config.weights, h_parts):
             params = MBParams(p=p, q_bar=q_bar, n=n)
-            pairs.append((params, _w))
-            h = laws[i]
+            pairs.append((params, w))
             _coeffs, d = build_din(params, config.tail_tol)
-            h_parts.append(h)
             d_parts.append(d)
             hm = moments(h)
             dm = signed_moments(d)
@@ -466,40 +480,21 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
             mean_gap += abs(dm.mean - hm.mean)
             var_gap += abs(dm.variance - hm.variance)
         report = bound_markov(pairs, config.k0)
-        for w in report.warnings:
-            tag = f"n={n}: {w}"
-            if tag not in warnings:
-                warnings.append(tag)
         # Each chain's law is one factor of the weighted measure.
-        h_law = WeightedMeasure(basis, tuple(h_parts))
-        d_law = WeightedMeasure(basis, tuple(d_parts))
-        distance = wkolmogorov_distance(h_law, d_law)
-        keys, values = _flatten_components(report)
-        if columns is None:
-            columns = (
-                "n",
-                "distance",
-                "factor",
-                "ratio",
-                "mass_defect",
-                "mean_gap",
-                "variance_gap",
-            ) + keys
-        rows.append(
-            (
-                n,
-                distance,
-                report.factor,
-                distance / report.factor,
-                mass_defect,
-                mean_gap,
-                var_gap,
-            )
-            + values
+        distance = wkolmogorov_distance(
+            WeightedMeasure(basis, tuple(h_parts)),
+            WeightedMeasure(basis, tuple(d_parts)),
         )
-        points.append((n, distance))
-    assert columns is not None
-    fit = _try_fit(points)
+        head = (
+            ("distance", distance),
+            ("factor", report.factor),
+            ("ratio", distance / report.factor),
+            ("mass_defect", mass_defect),
+            ("mean_gap", mean_gap),
+            ("variance_gap", var_gap),
+        )
+        return head, report
+
     prelude = {
         "k0": config.k0,
         "tail_tol": config.tail_tol,
@@ -508,14 +503,7 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
         prelude[f"chain{i}.p"] = p
         prelude[f"chain{i}.q_bar"] = qb
         prelude[f"chain{i}.weight"] = w
-    return SweepResult(
-        kind="markov-sweep",
-        columns=columns,
-        rows=tuple(rows),
-        fit=fit,
-        prelude=prelude,
-        warnings=tuple(warnings),
-    )
+    return _sweep("markov-sweep", config.n_grid, row, prelude)
 
 
 def run_nb(
@@ -534,64 +522,29 @@ def run_nb(
     moments fixed, it decays like n^(-1/2).
     """
     f = EXAMPLE_F if f is None else f
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be nonempty")
     summary = moments(f)
-    columns: tuple[str, ...] | None = None
-    rows = []
-    points = []
-    warnings: list[str] = []
-    for n in grid:
-        block = BlockSpec.iid(f, f, n, 1.0)
-        report = bound_nb([block])
-        for w in report.warnings:
-            if w not in warnings:
-                warnings.append(w)
+
+    def row(n: int) -> tuple[Headline, BoundReport]:
+        report = bound_nb([BlockSpec.iid(f, f, n, 1.0)])
         params = nb_match(n * summary.mean, n * summary.variance)
-        pmf = nb_component_pmf(params, 1, tail_tol)
-        realised = moments(pmf)
-        keys, values = _flatten_components(report)
-        if columns is None:
-            columns = (
-                "n",
-                "r",
-                "p_tilde",
-                "target_mean",
-                "target_variance",
-                "nb_mean",
-                "nb_variance",
-                "factor",
-            ) + keys
-        rows.append(
-            (
-                n,
-                params.r,
-                params.p_tilde,
-                n * summary.mean,
-                n * summary.variance,
-                realised.mean,
-                realised.variance,
-                report.factor,
-            )
-            + values
+        realised = moments(nb_component_pmf(params, 1, tail_tol))
+        head = (
+            ("r", params.r),
+            ("p_tilde", params.p_tilde),
+            ("target_mean", n * summary.mean),
+            ("target_variance", n * summary.variance),
+            ("nb_mean", realised.mean),
+            ("nb_variance", realised.variance),
+            ("factor", report.factor),
         )
-        points.append((n, report.factor))
-    assert columns is not None
-    fit = _try_fit(points)
+        return head, report
+
     prelude = {
         "summand_mean": summary.mean,
         "summand_variance": summary.variance,
         "tail_tol": tail_tol,
     }
-    return SweepResult(
-        kind="nb-sweep",
-        columns=columns,
-        rows=tuple(rows),
-        fit=fit,
-        prelude=prelude,
-        warnings=tuple(warnings),
-    )
+    return _sweep("nb-sweep", n_grid, row, prelude, fit_column="factor")
 
 
 def demo_intro(
@@ -608,26 +561,15 @@ def demo_intro(
     decreases as n grows even though the coins never change, because the
     shared heavy factor smooths the difference out.
     """
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be nonempty")
     step = delta(1) - delta(0)
     coin_s = from_entries({0: 2.0 / 3.0, 1: 1.0 / 3.0})
     coin_z = from_entries({0: 3.0 / 4.0, 1: 1.0 / 4.0})
-    rows = []
-    points = []
-    for n in grid:
+
+    def row(n: int) -> tuple[Headline, None]:
         poisson = exp_measure(step * float(n), tail_tol)
-        s_law = convolve(poisson, coin_s)
-        z_law = convolve(poisson, coin_z)
-        distance = kolmogorov_norm(s_law - z_law)
-        rows.append((n, distance))
-        points.append((n, distance))
-    fit = _try_fit(points)
-    return SweepResult(
-        kind="demo-intro",
-        columns=("n", "distance"),
-        rows=tuple(rows),
-        fit=fit,
-        prelude={"tail_tol": tail_tol},
-    )
+        distance = kolmogorov_norm(
+            convolve(poisson, coin_s) - convolve(poisson, coin_z)
+        )
+        return (("distance", distance),), None
+
+    return _sweep("demo-intro", n_grid, row, {"tail_tol": tail_tol})

@@ -159,6 +159,14 @@ class TestRunExample:
         res = run_example((16,), f=EXAMPLE_F, g=EXAMPLE_G, s=3)
         assert len(res.rows) == 1
 
+    def test_bound_warnings_tagged_with_n(self):
+        # The fixtures match only through order 3, so s = 4 breaks the
+        # bound's hypothesis at every n.
+        warnings = run_example((16, 64), s=4).warnings
+        assert warnings
+        assert all(w.startswith(("n=16: ", "n=64: ")) for w in warnings)
+        assert run_example((16, 64)).warnings == ()
+
 
 class TestRunMarkov:
     def test_columns_and_anchors(self):
@@ -219,6 +227,21 @@ class TestRunNb:
         res = run_nb((25, 100, 400))
         assert res.fit is not None
         assert res.fit.slope == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: run_example(()),
+        lambda: run_markov(ExperimentConfig(kind="markov-sweep")),
+        lambda: run_nb(()),
+        lambda: demo_intro(()),
+    ],
+    ids=["example", "markov", "nb", "demo-intro"],
+)
+def test_empty_grid_rejected(sweep):
+    with pytest.raises(ValueError, match="^n_grid must be nonempty$"):
+        sweep()
 
 
 class TestDemoIntro:
@@ -296,8 +319,31 @@ class TestCli:
         assert proc.stderr.startswith("wsumdist: error: ")
         assert "count" in proc.stderr
 
-    def test_count_flag_is_check_only(self):
-        assert _cli("example", "--count", "3").returncode == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("example", "--seed", "3"),
+            ("example", "--tail-tol", "0.1"),
+            ("markov", "--seed", "3"),
+            ("nb", "--seed", "3"),
+            ("demo-intro", "--seed", "3"),
+            ("check", "--n-grid", "10"),
+            ("check", "--tail-tol", "0.1"),
+            ("example", "--count", "3"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_command_rejects_flag_it_does_not_read(self, argv):
+        assert _cli(*argv).returncode == 2
+
+    @pytest.mark.parametrize("command", ["example", "markov", "nb", "demo-intro"])
+    def test_config_echo_round_trip(self, tmp_path, command):
+        first = _cli(command, "--json")
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(json.loads(first.stdout)["config"]))
+        again = _cli(command, "--config", str(cfg), "--json")
+        assert first.returncode == 0 and again.returncode == 0
+        assert again.stdout == first.stdout
 
     @pytest.mark.parametrize(
         "flag",
@@ -320,6 +366,15 @@ class TestCli:
         proc = _cli("fit", str(path))
         assert proc.returncode == 1
         assert "fit:" in proc.stderr
+
+    @pytest.mark.parametrize("row", ["64,abc", "64"], ids=["non-numeric", "short"])
+    def test_fit_bad_cell(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,distance\n16,0.5\n{row}\n256,0.125\n")
+        proc = _cli("fit", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("fit: ")
+        assert "Traceback" not in proc.stderr
 
     def test_fit_missing_column(self, tmp_path):
         path = tmp_path / "odd.csv"
@@ -352,6 +407,8 @@ class TestCli:
             ('{"n_grid": null}', "'n_grid' must not be null"),
             ('{"n_grid": [100, 50]}', "n_grid must be strictly increasing"),
             ("{not json", "wsumdist: error:"),
+            ('{"weights": [1.0, 2.0]}', "one (p, q_bar) chain per weight"),
+            ('{"kind": "nb-sweep"}', "does not match command 'markov'"),
         ],
     )
     def test_bad_config_exits_1(self, tmp_path, text, message):
@@ -370,6 +427,7 @@ class TestCli:
             ("markov", "--config", "{tmp}/absent.json"),
             ("fit", "{tmp}/absent.csv"),
             ("demo-intro", "--out", "{tmp}/absent/out.csv"),
+            ("example", "--n-grid", ","),
         ],
     )
     def test_missing_file_exits_1(self, tmp_path, argv):
