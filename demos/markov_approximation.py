@@ -26,7 +26,7 @@ PARAMS = MBParams(p=0.3, q_bar=0.02, n=100)
 # The regime gate: sticky chain (p <= 1/2), rare switch-on
 # (q_bar <= 1/30), switch rate not vanishing against the horizon.
 report = cond1_check(PARAMS)
-print(f"regime ok: {report.satisfied}  clauses: {report.clauses}")
+print(f"regime ok: {report.ok}  clauses: {report.clauses}")
 
 # Exact law vs a million simulated chains: the DP table is the ground
 # truth, the simulation just illustrates it.

@@ -180,6 +180,15 @@ def _beta(f: LatticeMeasure, g: LatticeMeasure, k: int) -> tuple[float, float]:
     return plus, minus
 
 
+def _moment_gaps(f: LatticeMeasure, g: LatticeMeasure, s: int):
+    """(k, side, |gap|) of the order-k factorial moments of f and g, for
+    k = 1..s and each tail, in that order."""
+    for k in range(1, s + 1):
+        for side in ("plus", "minus"):
+            gap = factorial_moment(f, k, side) - factorial_moment(g, k, side)
+            yield k, side, abs(gap)
+
+
 def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
     """Verify the bound hypotheses: smoothness, enough total overlap per
     block, factorial moments matched through order s, finite order-(s+1)
@@ -190,20 +199,13 @@ def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
     if not blocks:
         raise ValueError("need at least one block")
     warnings: list[str] = []
-
-    def moment_gap(f, g):
-        return max(
-            abs(factorial_moment(f, k, side) - factorial_moment(g, k, side))
-            for k in range(1, s + 1)
-            for side in ("plus", "minus")
-        )
-
     for i, block in enumerate(blocks):
         if min(smoothness_u(f, g) for f, g in block.pairs) <= 0.0:
             warnings.append(f"block {i}: some summand has zero shift overlap u")
         if block.total(smoothness_u) < 1.0:
             warnings.append(f"block {i}: total shift overlap below 1")
-        if max(moment_gap(f, g) for f, g in block.pairs) > MOMENT_MATCH_TOL:
+        gaps = (gap for f, g in block.pairs for _, _, gap in _moment_gaps(f, g, s))
+        if any(gap > MOMENT_MATCH_TOL for gap in gaps):
             warnings.append(
                 f"block {i}: factorial moments not matched through order {s}"
             )
@@ -399,8 +401,8 @@ def bound_markov(
         raise ValueError("need at least one block")
     warnings: list[str] = []
     weights = [w for _, w in pairs]
-    if min(weights) <= 0.0:
-        raise ValueError("weights must be positive")
+    if not all(w > 0.0 and math.isfinite(w) for w in weights):
+        raise ValueError("weights must be positive and finite")
     components: dict[str, float] = {"factor.weight_ratio": _weight_ratio(weights)}
     switch_sum = 0.0
     horizon_total = 0.0
@@ -423,13 +425,11 @@ def bound_markov(
 
 
 def _require_matched(f: LatticeMeasure, g: LatticeMeasure, s: int) -> None:
-    for k in range(1, s + 1):
-        for side in ("plus", "minus"):
-            gap = abs(factorial_moment(f, k, side) - factorial_moment(g, k, side))
-            if gap > MOMENT_MATCH_TOL:
-                raise MomentMismatchError(
-                    f"order-{k} {side} factorial moments differ by {gap:.3e}"
-                )
+    for k, side, gap in _moment_gaps(f, g, s):
+        if gap > MOMENT_MATCH_TOL:
+            raise MomentMismatchError(
+                f"order-{k} {side} factorial moments differ by {gap:.3e}"
+            )
 
 
 def lemma_fg_gap(

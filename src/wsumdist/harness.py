@@ -418,6 +418,11 @@ def run_example(
             BlockSpec.iid(f, g, size, weight) for size, weight in zip(sizes, weights)
         ]
         report = bound_iid(blocks, s)
+        if report.factor == 0.0:
+            # beta_{s+1} vanishes when s + 1 exceeds the laws' support.
+            raise ValueError(
+                "; ".join((f"n={n}: structural factor is 0", *report.warnings))
+            )
         s_law = weighted_sum_distribution(
             [(f, size, i + 1) for i, size in enumerate(sizes)], basis
         )

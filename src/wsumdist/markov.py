@@ -61,10 +61,6 @@ class Cond1Report:
     clauses: dict[str, bool]
 
     @property
-    def satisfied(self) -> bool:
-        return self.ok
-
-    @property
     def violated_clauses(self) -> list[str]:
         return [name for name, held in self.clauses.items() if not held]
 
@@ -171,12 +167,13 @@ def mb_variance(params: MBParams) -> float:
     return sum_m - sum_m2 + 2.0 * cross
 
 
-def cond1_check(params: MBParams, k0: int = 2, w: float = 1.0) -> Cond1Report:
+def cond1_check(params: MBParams, k0: int = 2) -> Cond1Report:
     """Check the regime under which the signed approximant bound is stated.
 
-    Clauses: 0 < p <= 1/2, q_bar <= 1/30, q_bar >= n^(-k0) so the
-    switch-on rate is not vanishingly small relative to the horizon,
-    and a positive block weight.
+    Clauses: 0 < p <= 1/2, q_bar <= 1/30, and q_bar >= n^(-k0) so the
+    switch-on rate is not vanishingly small relative to the horizon.
+    Block weights are validated where they enter (ExperimentConfig,
+    bound_markov), not here.
     """
     k0 = int(k0)
     if k0 < 2:
@@ -185,7 +182,6 @@ def cond1_check(params: MBParams, k0: int = 2, w: float = 1.0) -> Cond1Report:
         "p_in_range": 0.0 < params.p <= 0.5,
         "q_bar_small": params.q_bar <= 1.0 / 30.0,
         "q_bar_not_tiny": params.q_bar >= params.n ** (-float(k0)),
-        "weight_positive": w > 0.0,
     }
     return Cond1Report(ok=all(clauses.values()), k0=k0, clauses=clauses)
 

@@ -5,12 +5,10 @@ stores one lattice measure per weight; its law is their product pushed
 onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
 acts weight by weight on the integer lattice, so it never loses support
 identity to float rounding.  A measure is only its factors: real values
-are formed only where a cumulative function is read, by one builder that
-raises ResourceLimitError past SUPPORT_LIMIT points.  The Kolmogorov
-distance builds them once on the union of both laws' lattice points, the
-concentration function on its factors' nonzero supports.  In both, real
-values within a tolerance proportional to the largest value in play are
-one location.
+are formed only by the Kolmogorov distance, once, on the union of both
+laws' lattice points, and it raises ResourceLimitError past SUPPORT_LIMIT
+points.  Real values within a tolerance proportional to the largest value
+in play are one location.
 """
 
 from __future__ import annotations
@@ -39,11 +37,10 @@ __all__ = [
     "wconvolve",
     "weighted_sum_distribution",
     "wkolmogorov_distance",
-    "wconcentration",
 ]
 
-# Building real values on more lattice points than this aborts with
-# ResourceLimitError instead of exhausting memory.
+# Building the distance's real values on more lattice points than this
+# aborts with ResourceLimitError instead of exhausting memory.
 SUPPORT_LIMIT = 10**7
 
 # Two support points share a CDF location iff their real values differ by at
@@ -52,7 +49,8 @@ MERGE_TOL_SCALE = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when real values would be built on more than SUPPORT_LIMIT points."""
+    """Raised when the distance would build real values on more than
+    SUPPORT_LIMIT lattice points."""
 
 
 @dataclass(frozen=True)
@@ -151,56 +149,45 @@ def weighted_sum_distribution(
     return acc
 
 
-def _merge_tol(values: np.ndarray) -> float:
-    top = float(np.max(np.abs(values))) if values.size else 0.0
-    return MERGE_TOL_SCALE * (1.0 + top)
-
-
-def _nonzero(f: LatticeMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The support points of ``f`` that carry nonzero mass, and their masses."""
+def _laid_on(support: np.ndarray, f: LatticeMeasure) -> np.ndarray:
+    """The nonzero masses of ``f`` on the sorted ``support``, zeros elsewhere."""
     keep = f.masses != 0.0
-    return f.support[keep], f.masses[keep]
-
-
-def _laid_on(support: np.ndarray, part: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``part = (points, masses)`` as masses on the sorted ``support``."""
-    points, masses = part
     out = np.zeros(support.size)
-    out[np.searchsorted(support, points)] = masses
+    out[np.searchsorted(support, f.support[keep])] = f.masses[keep]
     return out
 
 
 def _real_points(
-    weights: Sequence[float],
-    supports: Sequence[np.ndarray],
-    *sides: Sequence[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Real values and product masses on the lattice box ``supports[0] x ...``.
+    a: WeightedMeasure, b: WeightedMeasure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real values of the lattice points where a or b has mass, and both masses.
 
-    ``sides[j][i]`` holds side j's masses on ``supports[i]``.  Returns the
-    values ``sum_i k_i w_i`` in lexicographic order of the box and, per
-    side, the product of its masses at each point; points where every
-    side's product is exactly 0.0 are dropped.  Past SUPPORT_LIMIT box
-    points it raises ResourceLimitError before allocating.
+    Per weight, the points are the sorted union of the two factors' supports
+    where they carry nonzero mass.  Returns the values ``sum_i k_i w_i`` in
+    lexicographic order of the product of these unions and each law's
+    product mass at each point; points where both products are exactly 0.0
+    are dropped.  Past SUPPORT_LIMIT points it raises ResourceLimitError
+    before allocating them.
     """
-    count = math.prod(support.size for support in supports)
+    unions = [
+        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0])
+        for f, g in zip(a.factors, b.factors)
+    ]
+    count = math.prod(union.size for union in unions)
     if count > SUPPORT_LIMIT:
         raise ResourceLimitError(
             f"weighted support would range over {count} lattice points "
             f"(limit {SUPPORT_LIMIT})"
         )
-    values = np.zeros(1)
-    products = [np.ones(1) for _ in sides]
-    for i, (support, w) in enumerate(zip(supports, weights)):
-        values = np.add.outer(values, support * w).ravel()
-        products = [
-            np.multiply.outer(product, side[i]).ravel()
-            for product, side in zip(products, sides)
-        ]
-    keep = products[0] != 0.0
-    for product in products[1:]:
-        keep |= product != 0.0
-    return values[keep], [product[keep] for product in products]
+    values, mass_a, mass_b = np.zeros(1), np.ones(1), np.ones(1)
+    for union, w, f, g in zip(unions, a.basis.weights, a.factors, b.factors):
+        values = np.add.outer(values, union * w).ravel()
+        mass_a = np.multiply.outer(mass_a, _laid_on(union, f)).ravel()
+        mass_b = np.multiply.outer(mass_b, _laid_on(union, g)).ravel()
+    # In place: one box-sized temporary fewer at the distance's memory peak.
+    keep = mass_a != 0.0
+    keep |= mass_b != 0.0
+    return values[keep], mass_a[keep], mass_b[keep]
 
 
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
@@ -209,9 +196,9 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     Both laws are laid on one set of lattice points: per weight, the union
     of the two factors' supports where they carry nonzero mass.  Each
     point's real value is built once and sorted once for both sides.
-    Values that differ by at most the merge tolerance are one CDF location
-    (clustered by consecutive gaps), and the two CDFs are compared at each
-    cluster's last point.
+    Values that differ by at most MERGE_TOL_SCALE * (1 + max |value|) are
+    one CDF location (clustered by consecutive gaps), and the two CDFs are
+    compared at each cluster's last point.
 
     The work is linear in the product over weights of the union sizes,
     which exceeds both operands' atom counts when the laws spread over
@@ -220,44 +207,15 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
-    parts = [(_nonzero(f), _nonzero(g)) for f, g in zip(a.factors, b.factors)]
-    unions = [_sorted_union(fp[0], gp[0]) for fp, gp in parts]
-    values, (mass_a, mass_b) = _real_points(
-        a.basis.weights,
-        unions,
-        [_laid_on(u, fp) for u, (fp, _) in zip(unions, parts)],
-        [_laid_on(u, gp) for u, (_, gp) in zip(unions, parts)],
-    )
+    values, mass_a, mass_b = _real_points(a, b)
     if values.size == 0:
         return 0.0
     order = np.argsort(values, kind="stable")
     values = values[order]
-    ends = np.flatnonzero(np.append(np.diff(values) > _merge_tol(values), True))
+    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    ends = np.flatnonzero(np.append(np.diff(values) > tol, True))
     # Both sides accumulate in the same order, so the result is exactly
     # symmetric in (a, b); a point of the other side adds +0.0.
     cdf_a = np.cumsum(mass_a[order])[ends]
     cdf_b = np.cumsum(mass_b[order])[ends]
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def wconcentration(f: WeightedMeasure, h: float) -> float:
-    """Maximal probability of a closed window ``[x, x + h]`` on the real line.
-
-    Every factor must be a probability distribution.  Past SUPPORT_LIMIT
-    atoms it raises ResourceLimitError before allocating.
-    """
-    if not all(factor.is_probability for factor in f.factors):
-        raise ValueError("wconcentration requires a probability distribution")
-    if not (h >= 0.0):
-        raise ValueError("window length h must be nonnegative")
-    supports, masses = zip(*(_nonzero(factor) for factor in f.factors))
-    values, (masses,) = _real_points(f.basis.weights, supports, masses)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    masses = masses[order]
-    tol = _merge_tol(values)
-    cum = np.cumsum(masses)
-    right = np.searchsorted(values, values + h + tol, side="right") - 1
-    left = np.searchsorted(values, values - tol, side="left")
-    below_left = np.concatenate([[0.0], cum])
-    return float(np.max(cum[right] - below_left[left]))

@@ -313,8 +313,9 @@ class TestBoundMarkov:
     def test_validation(self):
         with pytest.raises(ValueError):
             bound_markov([])
-        with pytest.raises(ValueError):
-            bound_markov([(MBParams(p=0.3, q_bar=0.02, n=100), -1.0)])
+        for weight in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                bound_markov([(MBParams(p=0.3, q_bar=0.02, n=100), weight)])
 
 
 class TestFgGap:

@@ -8,6 +8,7 @@ import pytest
 from wsumdist.checks import (
     CHECK_NAMES,
     CORE_INEQUALITY_CHECKS,
+    MAX_RECORDED_FAILURES,
     CheckReport,
     gen_matched_pair,
     null_space,
@@ -72,6 +73,14 @@ class TestRunCheck:
         assert "lhs" in first and "detail" in first
         # other families untouched
         assert by_name["mineka2"].failed == 0
+
+    def test_recorded_failures_capped(self):
+        # more failures than records: the first ones are kept, in order
+        result = run_check(1, 12, names=("roos",), corrupt="roos").results[0]
+        assert result.failed == 12
+        records = [json.loads(r) for r in result.failures]
+        assert [r["instance"] for r in records] == list(range(MAX_RECORDED_FAILURES))
+        assert not any("suppressed" in r for r in records)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,13 @@ class TestRunExample:
         assert all(w.startswith(("n=16: ", "n=64: ")) for w in warnings)
         assert run_example((16, 64)).warnings == ()
 
+    def test_zero_factor_raises(self):
+        # The fixtures live on {0, ..., 5}, so their order-8 factorial
+        # moments vanish and bound_iid's factor at s = 7 is exactly 0.
+        with pytest.raises(ValueError, match="n=16: structural factor is 0") as info:
+            run_example((16,), s=7)
+        assert "not matched through order 7" in str(info.value)
+
 
 class TestRunMarkov:
     def test_columns_and_anchors(self):
@@ -418,6 +425,15 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("wsumdist: error: ")
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_zero_factor_exits_1(self, tmp_path):
+        cfg = tmp_path / "s7.json"
+        cfg.write_text('{"s": 7}')
+        proc = _cli("example", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("wsumdist: error: n=16: structural factor is 0")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -206,28 +206,23 @@ class TestCond1Check:
     def test_reference_regime_passes(self):
         report = cond1_check(MBParams(p=0.3, q_bar=0.02, n=100))
         assert isinstance(report, Cond1Report)
-        assert report.satisfied
+        assert report.ok
         assert report.violated_clauses == []
 
     def test_large_p_flagged(self):
         report = cond1_check(MBParams(p=0.6, q_bar=0.05, n=100))
-        assert not report.satisfied
+        assert not report.ok
         assert "p_in_range" in report.violated_clauses
 
     def test_large_q_bar_flagged(self):
         report = cond1_check(MBParams(p=0.3, q_bar=0.4, n=100), k0=2)
-        assert not report.satisfied
+        assert not report.ok
         assert "q_bar_small" in report.violated_clauses
 
     def test_tiny_q_bar_flagged(self):
         report = cond1_check(MBParams(p=0.3, q_bar=1e-9, n=100), k0=2)
-        assert not report.satisfied
+        assert not report.ok
         assert "q_bar_not_tiny" in report.violated_clauses
-
-    def test_nonpositive_weight_flagged(self):
-        report = cond1_check(MBParams(p=0.3, q_bar=0.02, n=100), w=0.0)
-        assert not report.satisfied
-        assert "weight_positive" in report.violated_clauses
 
     def test_k0_loosens_switch_rate_floor(self):
         # floor is n^(-k0): raising k0 admits rarer switching
@@ -235,7 +230,7 @@ class TestCond1Check:
         at_2 = cond1_check(params, k0=2)
         at_3 = cond1_check(params, k0=3)
         assert "q_bar_not_tiny" in at_2.violated_clauses
-        assert at_3.satisfied
+        assert at_3.ok
 
     def test_k0_validation(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from wsumdist.weighted import (
     WeightBasis,
     WeightedMeasure,
     lift,
-    wconcentration,
     wconvolve,
     weighted_sum_distribution,
     wkolmogorov_distance,
@@ -127,21 +126,6 @@ def _clustered_distance(a, b):
         np.bincount(cluster_id[~from_a], weights=masses[~from_a], minlength=clusters)
     )
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def _atom_concentration(m, h):
-    """Window concentration over the measure's own atoms, sorted and merged
-    within the distance's tolerance: the route before the shared builder."""
-    values, masses = _atoms(m)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    masses = masses[order]
-    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
-    cum = np.cumsum(masses)
-    right = np.searchsorted(values, values + h + tol, side="right") - 1
-    left = np.searchsorted(values, values - tol, side="left")
-    below_left = np.concatenate([[0.0], cum])
-    return float(np.max(cum[right] - below_left[left]))
 
 
 # Bases whose weight ratios are pairwise irrational: on small supports no two
@@ -429,37 +413,6 @@ class TestUnionRoute:
             wkolmogorov_distance(a, b)
 
 
-class TestWConcentration:
-    def test_covers_everything(self):
-        a = weighted_sum_distribution([(F, 1, 1), (F, 1, 2)], BASIS)
-        values = _atoms(a)[0]
-        diameter = float(values.max() - values.min())
-        assert wconcentration(a, diameter) == pytest.approx(1.0, abs=1e-12)
-
-    def test_point_mass(self):
-        a = lift(delta(3), 1, BASIS)
-        assert wconcentration(a, 0.0) == 1.0
-
-    def test_two_atoms_split(self):
-        basis = WeightBasis((1.0, SQRT2))
-        m = lift(from_entries({0: 0.5, 1: 0.5}), 2, basis)
-        assert wconcentration(m, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    @given(probability_laws(), st.sampled_from(PROPERTY_BASES), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_equals_atom_route(self, f, weights, data):
-        sizes = tuple(data.draw(st.integers(1, 3)) for _ in weights)
-        m = _block_sums(f, sizes, weights)
-        for h in (0.0, 0.3, 1.0, 2.5):
-            assert wconcentration(m, h) == _atom_concentration(m, h)
-
-    def test_rejects_signed_factor(self):
-        # total mass 1, but one factor carries a negative mass
-        signed = from_entries({0: 1.5, 1: -0.5})
-        with pytest.raises(ValueError):
-            wconcentration(WeightedMeasure(BASIS, (F, signed)), 1.0)
-
-
 class TestResourceGuard:
     def test_product_builds_but_reads_raise(self):
         # 4001 ** 2 lattice points: the product form is cheap, real values are not
@@ -467,5 +420,3 @@ class TestResourceGuard:
         m = wconvolve(lift(wide, 1, BASIS), lift(wide, 2, BASIS))
         with pytest.raises(ResourceLimitError):
             wkolmogorov_distance(m, m)
-        with pytest.raises(ResourceLimitError):
-            wconcentration(m, 1.0)
