@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 from .lattice import (
     LatticeMeasure,
+    _step_power,
     convolve,
     delta,
     factorial_moment,
     moments,
-    power,
     smoothness_u,
     tv_norm,
 )
@@ -476,8 +476,7 @@ def lemma_fg_gap_sym(
         raise OddSError("the symmetric refinement needs even s")
     _require_matched(f, g, s)
     bp1, bm1 = _beta(f, g, s + 1)
-    step = delta(1) - delta(0)
-    leading = ((bp1 - bm1) / math.factorial(s + 1)) * power(step, s + 1)
+    leading = ((bp1 - bm1) / math.factorial(s + 1)) * _step_power(1, s + 1)
     residual = (f - g) - leading
     bp2, bm2 = _beta(f, g, s + 2)
     cap = (bp2 + bm2 + bm1) * 2.0 ** (s + 2)

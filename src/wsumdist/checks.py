@@ -14,18 +14,36 @@ cap on total variation (inversion), concentration-function caps
 the moment-matched gap cap and its even-order refinement (matched_gap,
 matched_gap_sym), the geometric-excess transform bounds (excess_charfn), and the
 basic norm inequalities (norms).
+
+Clause contract: a family maps one RNG to a :class:`Clauses`, equal-length
+``lhs``, ``rhs`` and ``slack`` arrays in a fixed order (mineka2 and
+excess_charfn interleave their two clauses per grid point, and
+excess_charfn's two ``gamma_*`` clauses come last) plus ``detail(i)``,
+which builds clause i's JSON payload.  ``run_check`` finds the first
+``lhs > rhs + slack`` in one vectorised comparison and calls ``detail``
+for that clause only.
+
+Constants that do not depend on the draw are built on first use and then
+kept for the life of the process, never at import: the null-space basis
+of ``gen_matched_pair`` per order s, the convolution powers of
+delta(+-1) - delta(0) (``lattice._step_power``, shared with
+``bounds.lemma_fg_gap_sym``) and the inversion family's cos/sin table on
+its fixed grid.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lattice import (
     LatticeMeasure,
+    _step_power,
     char_fn,
     concentration,
     convolve,
@@ -34,7 +52,6 @@ from .lattice import (
     factorial_moment,
     kolmogorov_norm,
     moments,
-    power,
     smoothness_u,
     tv_norm,
 )
@@ -112,6 +129,22 @@ def _random_signed(rng: np.random.Generator) -> LatticeMeasure:
     return LatticeMeasure(support.astype(np.int64), masses)
 
 
+@functools.cache
+def _matched_basis(s: int) -> np.ndarray:
+    """Null-space basis of the rows 1, k, k(k-1), ... through order s on
+    the points 0..8: the directions that keep those factorial moments."""
+    points = np.arange(9, dtype=np.float64)
+    rows = [np.ones(9)]
+    for k in range(1, s + 1):
+        row = np.ones(9)
+        for shift in range(k):
+            row = row * (points - shift)
+        rows.append(row)
+    basis = null_space(np.vstack(rows))
+    basis.setflags(write=False)
+    return basis
+
+
 def gen_matched_pair(
     seed: int | np.random.Generator, s: int
 ) -> tuple[LatticeMeasure, LatticeMeasure]:
@@ -127,14 +160,7 @@ def gen_matched_pair(
     if s not in (1, 2, 3):
         raise ValueError("s must be 1, 2, or 3")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    points = np.arange(9, dtype=np.float64)
-    rows = [np.ones(9)]
-    for k in range(1, s + 1):
-        row = np.ones(9)
-        for shift in range(k):
-            row = row * (points - shift)
-        rows.append(row)
-    basis = null_space(np.vstack(rows))
+    basis = _matched_basis(s)
     support = np.arange(9, dtype=np.int64)
     for _ in range(MATCH_RETRIES):
         f_masses = rng.dirichlet(np.ones(9))
@@ -159,125 +185,183 @@ def gen_matched_pair(
     )
 
 
-def _check_mineka2(rng: np.random.Generator) -> list[tuple]:
+def _entries(m: LatticeMeasure) -> list:
+    return m.to_json_dict()["entries"]
+
+
+class Clauses(NamedTuple):
+    """One instance's inequalities as equal-length arrays.
+
+    Clause i holds when ``lhs[i] <= rhs[i] + slack[i]``; ``detail(i)``
+    builds the JSON payload that describes it, and is called only for a
+    reported failure.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    detail: Callable[[int], dict]
+
+
+def _clauses(lhs, rhs, slack, detail: Callable[[int], dict]) -> Clauses:
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    return Clauses(lhs, rhs, np.full(lhs.shape, slack, dtype=np.float64), detail)
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    return np.column_stack((a, b)).ravel()
+
+
+@functools.cache
+def _inversion_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inversion family's grid t on [-pi, pi] and cos(tk), sin(tk)
+    for k = 0..8, one row per t and one column per k.  cos is even and
+    sin odd in k, so a point k < 0 reads column -k, sin with its sign
+    flipped."""
+    t = np.linspace(-math.pi, math.pi, SIMPSON_PANELS + 1)
+    x = np.multiply.outer(t, np.arange(9, dtype=np.float64))
+    table = (t, np.cos(x), np.sin(x))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _check_mineka2(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     u = smoothness_u(f)
     t = np.linspace(-math.pi, math.pi, GRID_POINTS)
     lhs = np.abs(char_fn(f, t))
     mid = 1.0 - u * t**2 / (4.0 * math.pi)
     rhs = np.exp(-u * np.sin(t / 2.0) ** 2 / math.pi)
-    payload = {"measure": f.to_json_dict()["entries"], "u": u}
-    out = []
-    for i in range(t.size):
-        ctx = dict(payload, t=float(t[i]))
-        out.append((float(lhs[i]), float(mid[i]), EXACT_SLACK, ctx))
-        out.append((float(mid[i]), float(rhs[i]), EXACT_SLACK, ctx))
-    return out
+    return _clauses(
+        _interleave(lhs, mid),
+        _interleave(mid, rhs),
+        EXACT_SLACK,
+        lambda i: {"measure": _entries(f), "u": u, "t": float(t[i // 2])},
+    )
 
 
-def _check_roos(rng: np.random.Generator) -> list[tuple]:
+def _check_roos(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     summary = moments(f)
     t = np.linspace(-math.pi, math.pi, GRID_POINTS)
     lhs = np.abs(char_fn(f, t, center=summary.mean, order=1))
     rhs = math.pi**2 * summary.variance * np.abs(np.sin(t / 2.0))
-    payload = {"measure": f.to_json_dict()["entries"], "variance": summary.variance}
-    return [
-        (
-            float(lhs[i]),
-            float(rhs[i]),
-            EXACT_SLACK * (1.0 + float(rhs[i])),
-            dict(payload, t=float(t[i])),
-        )
-        for i in range(t.size)
-    ]
+    return _clauses(
+        lhs,
+        rhs,
+        EXACT_SLACK * (1.0 + rhs),
+        lambda i: {
+            "measure": _entries(f),
+            "variance": summary.variance,
+            "t": float(t[i]),
+        },
+    )
 
 
-def _check_inversion(rng: np.random.Generator) -> list[tuple]:
+def _check_inversion(rng: np.random.Generator) -> Clauses:
     m = _random_signed(rng)
     nrm = tv_norm(m)
     if nrm == 0.0:
-        return []
+        return _clauses([], [], [], lambda i: {})
     weights = np.abs(m.masses)
     center = float(m.support @ weights / weights.sum())
-    t = np.linspace(-math.pi, math.pi, SIMPSON_PANELS + 1)
-    base = np.abs(char_fn(m, t)) ** 2
-    deriv = np.abs(char_fn(m, t, center=center, order=1)) ** 2
-    payload = {"measure": m.to_json_dict()["entries"], "center": center}
-    out = []
-    for b in (1.0, 2.0):
-        integral = simpson(base + deriv / b**2, t)
-        rhs = math.sqrt(1.0 + b * math.pi) * math.sqrt(
-            integral / (2.0 * math.pi)
-        )
-        out.append((nrm, rhs, QUADRATURE_SLACK, dict(payload, b=b)))
-    return out
+    t, cos, sin = _inversion_table()
+    cos = cos[:, np.abs(m.support)]
+    sin = sin[:, np.abs(m.support)]
+    sign = np.sign(m.support)
+    base = np.hypot(cos @ m.masses, sin @ (sign * m.masses)) ** 2
+    # |sum_k (k - c) m{k} e^{itk}| is the order-1 char_fn modulus whatever
+    # the phase origin, so the same table serves the derivative term.
+    w = (m.support - center) * m.masses
+    deriv = np.hypot(sin @ (sign * w), cos @ w) ** 2
+    bs = (1.0, 2.0)
+    rhs = [
+        math.sqrt(1.0 + b * math.pi)
+        * math.sqrt(simpson(base + deriv / b**2, t) / (2.0 * math.pi))
+        for b in bs
+    ]
+    return _clauses(
+        [nrm, nrm],
+        rhs,
+        QUADRATURE_SLACK,
+        lambda i: {"measure": _entries(m), "center": center, "b": bs[i]},
+    )
 
 
-def _check_ac1(rng: np.random.Generator) -> list[tuple]:
+def _check_ac1(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     h = float(rng.uniform(0.3, 4.0))
     q = concentration(f, h)
     t = np.linspace(-1.0 / h, 1.0 / h, SIMPSON_PANELS + 1)
     integral = simpson(np.abs(char_fn(f, t)), t)
     rhs = (96.0 / 95.0) ** 2 * h * integral
-    payload = {"measure": f.to_json_dict()["entries"], "h": h}
-    return [(q, rhs, QUADRATURE_SLACK, payload)]
+    return _clauses(
+        [q], [rhs], QUADRATURE_SLACK, lambda i: {"measure": _entries(f), "h": h}
+    )
 
 
-def _check_ac3(rng: np.random.Generator) -> list[tuple]:
+def _check_ac3(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     h = float(rng.uniform(0.1, 6.0))
     a = float(rng.uniform(0.1, 6.0))
     lhs = concentration(f, h)
     rhs = (1.0 + h / a) * concentration(f, a)
-    payload = {"measure": f.to_json_dict()["entries"], "h": h, "a": a}
-    return [(lhs, rhs, EXACT_SLACK, payload)]
+    return _clauses(
+        [lhs],
+        [rhs],
+        EXACT_SLACK,
+        lambda i: {"measure": _entries(f), "h": h, "a": a},
+    )
 
 
-def _check_expansion_residual(rng: np.random.Generator) -> list[tuple]:
+def _check_expansion_residual(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     s = int(rng.integers(1, 4))
-    up = delta(1) - delta(0)
-    down = delta(-1) - delta(0)
     residual = f - delta(0)
     for k in range(1, s + 1):
         c_plus = factorial_moment(f, k, "plus") / math.factorial(k)
         c_minus = factorial_moment(f, k, "minus") / math.factorial(k)
-        residual = residual - c_plus * power(up, k) - c_minus * power(down, k)
+        residual = residual - c_plus * _step_power(1, k) - c_minus * _step_power(-1, k)
     cap = (
         (factorial_moment(f, s + 1, "plus") + factorial_moment(f, s + 1, "minus"))
         * 2.0 ** (s + 1)
         / math.factorial(s + 1)
     )
-    payload = {"measure": f.to_json_dict()["entries"], "s": s}
-    return [(tv_norm(residual), cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
+    return _clauses(
+        [tv_norm(residual)],
+        [cap],
+        RESIDUAL_SLACK * (1.0 + cap),
+        lambda i: {"measure": _entries(f), "s": s},
+    )
 
 
-def _check_matched_gap(rng: np.random.Generator) -> list[tuple]:
+def _pair_clause(f, g, s, lhs, cap) -> Clauses:
+    return _clauses(
+        [lhs],
+        [cap],
+        RESIDUAL_SLACK * (1.0 + cap),
+        lambda i: {"f": _entries(f), "g": _entries(g), "s": s},
+    )
+
+
+def _check_matched_gap(rng: np.random.Generator) -> Clauses:
     s = int(rng.integers(1, 4))
     f, g = gen_matched_pair(rng, s)
-    gap, cap = lemma_fg_gap(f, g, s)
-    payload = {
-        "f": f.to_json_dict()["entries"],
-        "g": g.to_json_dict()["entries"],
-        "s": s,
-    }
-    return [(gap, cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
+    return _pair_clause(f, g, s, *lemma_fg_gap(f, g, s))
 
 
-def _check_matched_gap_sym(rng: np.random.Generator) -> list[tuple]:
+def _check_matched_gap_sym(rng: np.random.Generator) -> Clauses:
     f, g = gen_matched_pair(rng, 2)
-    residual, cap = lemma_fg_gap_sym(f, g, 2)
-    payload = {
-        "f": f.to_json_dict()["entries"],
-        "g": g.to_json_dict()["entries"],
-        "s": 2,
-    }
-    return [(residual, cap, RESIDUAL_SLACK * (1.0 + cap), payload)]
+    return _pair_clause(f, g, 2, *lemma_fg_gap_sym(f, g, 2))
 
 
-def _check_excess_charfn(rng: np.random.Generator) -> list[tuple]:
+_GAMMA_CLAUSES = ("gamma_lower", "gamma_upper")
+
+
+def _check_excess_charfn(rng: np.random.Generator) -> Clauses:
     n = int(rng.integers(60, 400))
     p = float(rng.uniform(0.05, 0.5))
     q_bar = float(rng.uniform(max(n**-2.0, 0.002), 1.0 / 30.0))
@@ -287,66 +371,59 @@ def _check_excess_charfn(rng: np.random.Generator) -> list[tuple]:
     t = np.linspace(-math.pi / w, math.pi / w, GRID_POINTS)
     transform = char_fn(y, w * t)
     sin_half = np.sin(w * t / 2.0)
-    payload = {"p": p, "q_bar": q_bar, "n": n, "w": w}
-    out = []
-    for i in range(t.size):
-        ctx = dict(payload, t=float(t[i]))
-        out.append(
-            (float(np.abs(transform[i])), float(4.0 * abs(sin_half[i])), RESIDUAL_SLACK, ctx)
-        )
-        # The real part decays at least as fast as -(4/3)sin^2; tight at
-        # p = 1/2, tw = pi, which is exactly the regime's p cap.
-        out.append(
-            (
-                float(transform[i].real),
-                float(-(4.0 / 3.0) * sin_half[i] ** 2),
-                RESIDUAL_SLACK,
-                ctx,
-            )
-        )
     gamma = params.q * q_bar / (params.q + q_bar)
-    out.append((q_bar / 2.0, gamma, EXACT_SLACK, dict(payload, clause="gamma_lower")))
-    out.append((gamma, q_bar, EXACT_SLACK, dict(payload, clause="gamma_upper")))
-    return out
+    # Per t: |transform| <= 4|sin|, then the real part decays at least as
+    # fast as -(4/3)sin^2 (tight at p = 1/2, tw = pi, exactly the regime's
+    # p cap).  The two gamma clauses come last.
+    lhs = np.concatenate(
+        [_interleave(np.abs(transform), transform.real), [q_bar / 2.0, gamma]]
+    )
+    rhs = np.concatenate(
+        [
+            _interleave(4.0 * np.abs(sin_half), -(4.0 / 3.0) * sin_half**2),
+            [gamma, q_bar],
+        ]
+    )
+    slack = [RESIDUAL_SLACK] * (2 * t.size) + [EXACT_SLACK] * 2
+
+    def detail(i: int) -> dict:
+        payload = {"p": p, "q_bar": q_bar, "n": n, "w": w}
+        if i < 2 * t.size:
+            return dict(payload, t=float(t[i // 2]))
+        return dict(payload, clause=_GAMMA_CLAUSES[i - 2 * t.size])
+
+    return _clauses(lhs, rhs, slack, detail)
 
 
-def _check_norms(rng: np.random.Generator) -> list[tuple]:
+_NORM_CLAUSES = (
+    "tv_submultiplicative",
+    "kolmogorov_convolution",
+    "kolmogorov_le_tv",
+    "exp_norm",
+)
+
+
+def _check_norms(rng: np.random.Generator) -> Clauses:
     a = _random_signed(rng)
     b = _random_signed(rng)
     ab = convolve(a, b)
-    payload = {"a": a.to_json_dict()["entries"], "b": b.to_json_dict()["entries"]}
-    out = [
-        (
-            tv_norm(ab),
-            tv_norm(a) * tv_norm(b),
-            EXACT_SLACK * (1.0 + tv_norm(a) * tv_norm(b)),
-            dict(payload, clause="tv_submultiplicative"),
-        ),
-        (
-            kolmogorov_norm(ab),
-            tv_norm(a) * kolmogorov_norm(b),
-            EXACT_SLACK * (1.0 + tv_norm(a) * kolmogorov_norm(b)),
-            dict(payload, clause="kolmogorov_convolution"),
-        ),
-        (
-            kolmogorov_norm(a),
-            tv_norm(a),
-            EXACT_SLACK,
-            dict(payload, clause="kolmogorov_le_tv"),
-        ),
-    ]
-    scale = 2.5 / max(tv_norm(a), 2.5)
+    tv_a = tv_norm(a)
+    scale = 2.5 / max(tv_a, 2.5)
     small = scale * a
     exp_small = exp_measure(small, tail_tol=1e-10)
-    out.append(
-        (
-            tv_norm(exp_small),
-            math.exp(tv_norm(small)),
+    tv_tv = tv_a * tv_norm(b)
+    tv_kol = tv_a * kolmogorov_norm(b)
+    return _clauses(
+        [tv_norm(ab), kolmogorov_norm(ab), kolmogorov_norm(a), tv_norm(exp_small)],
+        [tv_tv, tv_kol, tv_a, math.exp(tv_norm(small))],
+        [
+            EXACT_SLACK * (1.0 + tv_tv),
+            EXACT_SLACK * (1.0 + tv_kol),
+            EXACT_SLACK,
             RESIDUAL_SLACK,
-            dict(payload, clause="exp_norm"),
-        )
+        ],
+        lambda i: {"a": _entries(a), "b": _entries(b), "clause": _NORM_CLAUSES[i]},
     )
-    return out
 
 
 _REGISTRY: dict[str, object] = {
@@ -429,8 +506,8 @@ def run_check(
     The RNG for family index i, instance j derives from spawn key (i, j)
     of the master seed, so reports are deterministic per seed and
     independent of which families are selected.  ``corrupt`` names a
-    family whose right-hand sides are forced to -1.0, a self-test hook
-    demonstrating failure reporting.
+    selected family whose right-hand sides are forced to -1.0, a self-test
+    hook demonstrating failure reporting.
     """
     count = int(count)
     if count < 1:
@@ -441,6 +518,8 @@ def run_check(
             raise ValueError(f"unknown check: {name}")
     if corrupt is not None and corrupt not in _REGISTRY:
         raise ValueError(f"unknown corrupt target: {corrupt}")
+    if corrupt is not None and corrupt not in selected:
+        raise ValueError(f"corrupt target {corrupt} is not among the selected checks")
     results = []
     for name in selected:
         index = CHECK_NAMES.index(name)
@@ -456,22 +535,27 @@ def run_check(
             except Exception as exc:  # generator or check precondition blew up
                 bad = {"instance": j, "error": f"{type(exc).__name__}: {exc}"}
             else:
-                bad = None
-                for lhs, rhs, slack, payload in clauses:
-                    if corrupt == name:
-                        rhs = -1.0
-                    if lhs > rhs + slack:
-                        bad = {
-                            "instance": j,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "slack": slack,
-                            "detail": payload,
-                        }
-                        break
+                bad = _first_failure(clauses, corrupt == name, j)
             if bad is None:
                 passed += 1
             elif len(failures) < MAX_RECORDED_FAILURES:
                 failures.append(json.dumps(bad, sort_keys=True))
         results.append(CheckResult(name, passed, count - passed, tuple(failures)))
     return CheckReport(seed=int(seed), count=count, results=tuple(results))
+
+
+def _first_failure(clauses: Clauses, corrupt: bool, instance: int) -> dict | None:
+    """Record of instance's first clause with lhs > rhs + slack, or None.
+    A corrupted family has every right-hand side forced to -1.0."""
+    rhs = np.full(clauses.lhs.shape, -1.0) if corrupt else clauses.rhs
+    fails = np.flatnonzero(clauses.lhs > rhs + clauses.slack)
+    if fails.size == 0:
+        return None
+    i = int(fails[0])
+    return {
+        "instance": instance,
+        "lhs": float(clauses.lhs[i]),
+        "rhs": float(rhs[i]),
+        "slack": float(clauses.slack[i]),
+        "detail": clauses.detail(i),
+    }

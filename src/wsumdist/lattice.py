@@ -12,6 +12,7 @@ value it stands for, so callers can reason about tolerances explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -59,7 +60,10 @@ class LatticeMeasure:
     but the Markov-Binomial laws keep the full support 0..n, including the
     tail that underflows to 0.0, and simulated laws keep empty bins.
     Instances are immutable; build them with :func:`delta` or
-    :func:`from_entries` rather than by hand.
+    :func:`from_entries` rather than by hand.  The constructor copies its
+    input and raises ``ValueError`` on non-integral points and non-finite
+    masses; the operations hand their freshly built arrays to the result
+    without a copy.
     """
 
     support: np.ndarray
@@ -67,18 +71,28 @@ class LatticeMeasure:
     error_budget: float = 0.0
 
     def __post_init__(self) -> None:
-        s = np.array(self.support, dtype=np.int64)
-        m = np.array(self.masses, dtype=np.float64)
-        if s.ndim != 1 or m.ndim != 1 or s.size != m.size:
-            raise ValueError("support and masses must be 1-d arrays of equal length")
-        if s.size > 1 and not (s[1:] > s[:-1]).all():
-            raise ValueError("support must be strictly increasing")
-        if self.error_budget < 0.0 or not math.isfinite(self.error_budget):
-            raise ValueError("error budget must be finite and nonnegative")
+        s, m = _checked_input(self.support, self.masses)
+        _check_layout(s, m, self.error_budget)
         s.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "masses", m)
+
+    @classmethod
+    def _owned(
+        cls, support: np.ndarray, masses: np.ndarray, budget: float
+    ) -> "LatticeMeasure":
+        """Wrap int64 and float64 arrays that the caller hands over and no
+        longer writes: the public constructor's shape, order and budget
+        checks, without its copy and its integrality and finiteness scans."""
+        _check_layout(support, masses, budget)
+        support.setflags(write=False)
+        masses.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "support", support)
+        object.__setattr__(out, "masses", masses)
+        object.__setattr__(out, "error_budget", budget)
+        return out
 
     # -- basic views ---------------------------------------------------
 
@@ -136,15 +150,33 @@ class LatticeMeasure:
 
     def __add__(self, other: "LatticeMeasure") -> "LatticeMeasure":
         """Sum of measures: both sorted supports are merged into their
-        union, each side's masses are placed by ``searchsorted`` (shared
-        points add self's mass, then other's) and the result is trimmed."""
+        union, each side's masses are placed on it (shared points add
+        self's mass, then other's) and the result is trimmed.  Two runs of
+        consecutive points that meet or overlap fill slices of one range;
+        other supports are placed by ``searchsorted``."""
         if not isinstance(other, LatticeMeasure):
             return NotImplemented
-        union = _sorted_union(self.support, other.support)
+        budget = self.error_budget + other.error_budget
+        a, b = self.support, other.support
+        if (
+            a.size
+            and b.size
+            and a[-1] - a[0] == a.size - 1
+            and b[-1] - b[0] == b.size - 1
+            and a[0] <= b[-1] + 1
+            and b[0] <= a[-1] + 1
+        ):
+            lo = min(a[0], b[0])
+            out = np.zeros(int(max(a[-1], b[-1]) - lo) + 1)
+            out[a[0] - lo : a[-1] - lo + 1] = self.masses
+            out[b[0] - lo : b[-1] - lo + 1] += other.masses
+            union = np.arange(lo, lo + out.size, dtype=np.int64)
+            return _trim(union, out, budget)
+        union = _sorted_union(a, b)
         out = np.zeros(union.size)
-        out[np.searchsorted(union, self.support)] = self.masses
-        out[np.searchsorted(union, other.support)] += other.masses
-        return _trim(union, out, self.error_budget + other.error_budget)
+        out[np.searchsorted(union, a)] = self.masses
+        out[np.searchsorted(union, b)] += other.masses
+        return _trim(union, out, budget)
 
     def __sub__(self, other: "LatticeMeasure") -> "LatticeMeasure":
         if not isinstance(other, LatticeMeasure):
@@ -158,7 +190,7 @@ class LatticeMeasure:
         if not isinstance(c, (int, float, np.integer, np.floating)):
             return NotImplemented
         c = float(c)
-        return _canonical(self.support, self.masses * c, abs(c) * self.error_budget)
+        return _trim(self.support, self.masses * c, abs(c) * self.error_budget)
 
     __rmul__ = __mul__
 
@@ -171,14 +203,37 @@ class MomentSummary:
     variance: float
 
 
+def _checked_input(points, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh int64 points and float64 masses from outside input; a
+    non-integral point or a non-finite mass raises ``ValueError`` rather
+    than being truncated or carried."""
+    raw = np.asarray(points)
+    if raw.dtype.kind == "f" and not (
+        np.isfinite(raw).all() and (raw == np.floor(raw)).all()
+    ):
+        raise ValueError("support points must be integers")
+    m = np.array(masses, dtype=np.float64)
+    if not np.isfinite(m).all():
+        raise ValueError("masses must be finite")
+    return np.array(raw, dtype=np.int64), m
+
+
+def _check_layout(support: np.ndarray, masses: np.ndarray, budget: float) -> None:
+    if support.ndim != 1 or masses.ndim != 1 or support.size != masses.size:
+        raise ValueError("support and masses must be 1-d arrays of equal length")
+    if np.count_nonzero(support[1:] <= support[:-1]):
+        raise ValueError("support must be strictly increasing")
+    if budget < 0.0 or not math.isfinite(budget):
+        raise ValueError("error budget must be finite and nonnegative")
+
+
 def _canonical(
     support: np.ndarray, masses: np.ndarray, budget: float
 ) -> LatticeMeasure:
     """Sort, merge duplicate atoms, trim negligible ones, account the trim.
 
-    A support that is already strictly increasing (a scalar multiple, the
-    dense convolution's points, sorted entries) is neither sorted nor
-    merged; it goes straight to the trim.
+    A support that is already strictly increasing (entries given in
+    order) is neither sorted nor merged; it goes straight to the trim.
     """
     support = np.asarray(support, dtype=np.int64).ravel()
     masses = np.asarray(masses, dtype=np.float64).ravel()
@@ -196,15 +251,23 @@ def _canonical(
 
 def _trim(support: np.ndarray, masses: np.ndarray, budget: float) -> LatticeMeasure:
     """Drop zero atoms and those below ``TRIM_RELATIVE`` times the tv norm
-    from a sorted, duplicate-free support; their mass joins the budget."""
+    from a sorted, duplicate-free support; their mass joins the budget.
+
+    The arrays are handed to the result as they are, so callers pass
+    arrays they no longer write: fresh ones, or a measure's own read-only
+    support.
+    """
     if support.size:
         mag = np.abs(masses)
-        keep = (mag >= TRIM_RELATIVE * float(mag.sum())) & (masses != 0.0)
-        if not keep.all():
+        threshold = TRIM_RELATIVE * float(mag.sum())
+        keep = mag >= threshold
+        if not threshold > 0.0:
+            keep &= masses != 0.0
+        if np.count_nonzero(keep) < keep.size:
             budget += float(mag[~keep].sum())
             support = support[keep]
             masses = masses[keep]
-    return LatticeMeasure(support, masses, budget)
+    return LatticeMeasure._owned(support, masses, budget)
 
 
 def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,7 +283,7 @@ def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _with_budget(m: LatticeMeasure, extra: float) -> LatticeMeasure:
     if extra == 0.0:
         return m
-    return LatticeMeasure(m.support, m.masses, m.error_budget + extra)
+    return LatticeMeasure._owned(m.support, m.masses, m.error_budget + extra)
 
 
 # -- constructors -------------------------------------------------------
@@ -228,28 +291,32 @@ def _with_budget(m: LatticeMeasure, extra: float) -> LatticeMeasure:
 
 def delta(a: int) -> LatticeMeasure:
     """Unit point mass at the integer ``a``."""
-    a = int(a)
-    return LatticeMeasure(np.array([a]), np.array([1.0]))
+    return LatticeMeasure._owned(
+        np.array([int(a)], dtype=np.int64), np.array([1.0]), 0.0
+    )
 
 
 def from_entries(
     entries: Mapping[int, float] | Iterable[tuple[int, float]],
     error_budget: float = 0.0,
 ) -> LatticeMeasure:
-    """Measure from a ``{point: mass}`` mapping or ``(point, mass)`` pairs."""
+    """Measure from a ``{point: mass}`` mapping or ``(point, mass)`` pairs.
+
+    Points must be integers (integral floats count) and masses finite;
+    anything else raises ``ValueError``.
+    """
     if isinstance(entries, Mapping):
         pairs = list(entries.items())
     else:
         pairs = list(entries)
     if not pairs:
         return LatticeMeasure(np.array([], dtype=np.int64), np.array([]), error_budget)
-    pts = np.array([int(k) for k, _ in pairs], dtype=np.int64)
-    ms = np.array([float(v) for _, v in pairs], dtype=np.float64)
+    pts, ms = _checked_input([k for k, _ in pairs], [float(v) for _, v in pairs])
     return _canonical(pts, ms, error_budget)
 
 
 def from_json_dict(payload: Mapping) -> LatticeMeasure:
-    return from_entries([(int(k), float(m)) for k, m in payload["entries"]])
+    return from_entries(payload["entries"])
 
 
 # -- convolution algebra -------------------------------------------------
@@ -281,7 +348,7 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
         out = np.convolve(fa, fb)
         offset = int(a.support[0] + b.support[0])
         pts = np.arange(offset, offset + dense_len, dtype=np.int64)
-        return _canonical(pts, out, budget)
+        return _trim(pts, out, budget)
     pts = (a.support[:, None] + b.support[None, :]).ravel()
     ms = (a.masses[:, None] * b.masses[None, :]).ravel()
     return _canonical(pts, ms, budget)
@@ -301,6 +368,13 @@ def power(a: LatticeMeasure, n: int) -> LatticeMeasure:
         if n:
             base = convolve(base, base)
     return delta(0) if result is None else result
+
+
+@functools.cache
+def _step_power(sign: int, k: int) -> LatticeMeasure:
+    """``(delta(sign) - delta(0))`` to the k-th convolution power, built on
+    first use and then shared; measures are immutable."""
+    return power(delta(sign) - delta(0), k)
 
 
 def exp_measure(m: LatticeMeasure, tail_tol: float = 1e-10) -> LatticeMeasure:

@@ -1,21 +1,37 @@
 """Seeded randomized inequality checks: registry, determinism, failure hooks."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsumdist.checks import (
+    _REGISTRY,
     CHECK_NAMES,
     CORE_INEQUALITY_CHECKS,
     MAX_RECORDED_FAILURES,
     CheckReport,
+    _clauses,
+    _first_failure,
     gen_matched_pair,
     null_space,
     run_check,
     simpson,
 )
 from wsumdist.lattice import factorial_moment, tv_norm
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _instance_clauses(seed, name, j):
+    """Clauses of instance j of one family, on run_check's per-instance RNG."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(CHECK_NAMES.index(name), j))
+    )
+    return _REGISTRY[name](rng)
 
 
 class TestRegistry:
@@ -90,12 +106,84 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check(seed=1, count=5, corrupt="no_such_family")
 
+    def test_corrupt_target_must_be_selected(self):
+        # Corrupting a family that does not run would test nothing.
+        with pytest.raises(ValueError, match="not among the selected checks"):
+            run_check(1, 3, names=["ac1"], corrupt="roos")
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_corrupt_report_matches_recorded(self, name):
+        """Each family's failure path, payloads included, against the JSON
+        that the list-of-tuples implementation produced."""
+        recorded = json.loads((DATA / "check_corrupt_seed1.json").read_text())[name]
+        got = run_check(1, 8, corrupt=name).to_json_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
     def test_json_shape(self):
         payload = run_check(seed=2, count=3, names=("norms",)).to_json_dict()
         assert payload["seed"] == 2
         assert payload["count"] == 3
         assert payload["ok"] is True
         assert payload["results"][0]["name"] == "norms"
+
+
+class TestClauses:
+    """Clause values against tests/data/check_clauses_seed1.json: every
+    (lhs, rhs, slack) of instances 0-3 of each family at seed 1, in order,
+    recorded from the implementation that returned a list of tuples per
+    instance."""
+
+    RECORDED = json.loads((DATA / "check_clauses_seed1.json").read_text())
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_values_match_recorded(self, name):
+        instances = self.RECORDED["families"][name]
+        assert len(instances) == self.RECORDED["instances"] == 4
+        for j, recorded in enumerate(instances):
+            c = _instance_clauses(self.RECORDED["seed"], name, j)
+            assert c.lhs.shape == c.rhs.shape == c.slack.shape == (len(recorded),)
+            lhs, rhs, slack = (list(col) for col in zip(*recorded))
+            assert c.lhs.tolist() == lhs
+            assert c.slack.tolist() == slack
+            if name == "inversion":
+                # The one value whose evaluation route changed: the
+                # quadrature reads a cached cos/sin table and takes the
+                # order-1 modulus at phase origin 0, which moves some
+                # values by a few ulp.
+                np.testing.assert_allclose(c.rhs, rhs, rtol=1e-12, atol=0.0)
+            else:
+                assert c.rhs.tolist() == rhs
+
+    def test_details_name_their_clause(self):
+        c = _instance_clauses(1, "excess_charfn", 0)
+        n = c.lhs.size
+        assert c.detail(0)["t"] == c.detail(1)["t"] != c.detail(2)["t"]
+        assert c.detail(n - 2)["clause"] == "gamma_lower"
+        assert c.detail(n - 1)["clause"] == "gamma_upper"
+        norms = _instance_clauses(1, "norms", 0)
+        assert [norms.detail(i)["clause"] for i in range(norms.lhs.size)] == [
+            "tv_submultiplicative",
+            "kolmogorov_convolution",
+            "kolmogorov_le_tv",
+            "exp_norm",
+        ]
+
+    def test_instance_without_clauses_passes(self):
+        empty = _clauses([], [], [], lambda i: {})
+        assert _first_failure(empty, corrupt=False, instance=0) is None
+        assert _first_failure(empty, corrupt=True, instance=0) is None
+
+    def test_tables_built_on_first_use(self):
+        code = (
+            "import wsumdist.cli, wsumdist.checks as c, wsumdist.lattice as l\n"
+            "print(c._inversion_table.cache_info().currsize,"
+            " c._matched_basis.cache_info().currsize,"
+            " l._step_power.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["0", "0", "0"]
 
 
 class TestGenMatchedPair:

@@ -19,6 +19,8 @@ COMMANDS = {
     "nb.json": ("nb", "--json"),
     "demo-intro.json": ("demo-intro", "--json"),
     "check-seed1.json": ("check", "--json", "--seed", "1"),
+    "check-seed2.json": ("check", "--json", "--seed", "2"),
+    "check-seed3.json": ("check", "--json", "--seed", "3"),
 }
 
 

@@ -85,6 +85,56 @@ class TestConstruction:
         assert tv_norm(from_json_dict(payload) - F) == 0.0
 
 
+class TestValidation:
+    """The public constructors reject what they would otherwise truncate
+    or carry: non-integral points and non-finite masses."""
+
+    @pytest.mark.parametrize(
+        "support", [[0.5, 1.7], [0.0, 1.5], [0.0, math.nan], [0.0, math.inf]]
+    )
+    def test_non_integral_support_rejected(self, support):
+        with pytest.raises(ValueError, match="support points must be integers"):
+            LatticeMeasure(support, [0.5, 0.5])
+        with pytest.raises(ValueError, match="support points must be integers"):
+            from_entries(list(zip(support, [0.5, 0.5])))
+        with pytest.raises(ValueError, match="support points must be integers"):
+            from_json_dict({"entries": [[k, 0.5] for k in support]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_masses_rejected(self, bad):
+        with pytest.raises(ValueError, match="masses must be finite"):
+            LatticeMeasure([0, 1], [0.5, bad])
+        with pytest.raises(ValueError, match="masses must be finite"):
+            from_entries({0: 0.5, 1: bad})
+        with pytest.raises(ValueError, match="masses must be finite"):
+            from_json_dict({"entries": [[0, 0.5], [1, bad]]})
+
+    def test_integral_floats_accepted(self):
+        m = LatticeMeasure([-2.0, 3.0], [0.25, 0.75])
+        assert m.support.dtype == np.int64
+        assert m.support.tolist() == [-2, 3]
+        assert m.is_probability
+        j = from_json_dict({"entries": [[3.0, 0.75], [-2, 0.25]]})
+        assert j.support.tolist() == [-2, 3]
+        assert j.masses.tolist() == [0.25, 0.75]
+
+    def test_public_constructor_copies_its_input(self):
+        support = np.array([0, 1])
+        masses = np.array([0.5, 0.5])
+        m = LatticeMeasure(support, masses)
+        support[0] = -5
+        masses[0] = 9.0
+        assert m.support.tolist() == [0, 1]
+        assert m.masses.tolist() == [0.5, 0.5]
+
+    def test_operation_results_are_frozen(self):
+        for m in (F + G, F - G, 2.0 * F, convolve(F, G), delta(3)):
+            assert not m.support.flags.writeable
+            assert not m.masses.flags.writeable
+            with pytest.raises(ValueError):
+                m.masses[0] = 1.0
+
+
 class TestConvolution:
     def test_point_shift(self):
         assert tv_norm(convolve(delta(2), delta(3)) - delta(5)) == 0.0
@@ -310,9 +360,21 @@ def _raw_measures(draw, points=st.integers(min_value=-6, max_value=6)):
 
 
 @st.composite
+def _raw_run(draw, start):
+    """A hand-built measure on consecutive points from ``start``."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    masses = draw(st.lists(_RAW_MASSES, min_size=size, max_size=size))
+    return LatticeMeasure(np.arange(start, start + size), np.array(masses))
+
+
+@st.composite
 def _raw_pairs(draw):
-    kind = draw(st.sampled_from(["any", "identical", "disjoint", "empty"]))
-    if kind == "disjoint":
+    kind = draw(st.sampled_from(["any", "identical", "disjoint", "empty", "runs"]))
+    if kind == "runs":
+        # Consecutive supports that overlap, touch or lie apart.
+        a = draw(_raw_run(draw(st.integers(min_value=-6, max_value=6))))
+        b = draw(_raw_run(draw(st.integers(min_value=-12, max_value=10))))
+    elif kind == "disjoint":
         a = draw(_raw_measures(st.integers(min_value=-6, max_value=-1)))
         b = draw(_raw_measures(st.integers(min_value=0, max_value=6)))
     else:
