@@ -75,6 +75,9 @@ QUADRATURE_SLACK = 1e-6
 EXACT_SLACK = 1e-12
 RESIDUAL_SLACK = 1e-9
 MATCH_RETRIES = 1000
+# Random measures draw their points from [-_MAX_POINT, _MAX_POINT]; the
+# inversion table has one column per |k| in that range.
+_MAX_POINT = 8
 
 
 class RetryExhaustedError(RuntimeError):
@@ -117,14 +120,18 @@ def null_space(a: np.ndarray) -> np.ndarray:
 
 def _random_prob(rng: np.random.Generator) -> LatticeMeasure:
     size = int(rng.integers(2, 9))
-    support = np.sort(rng.choice(np.arange(-8, 9), size=size, replace=False))
+    support = np.sort(rng.choice(
+        np.arange(-_MAX_POINT, _MAX_POINT + 1), size=size, replace=False
+    ))
     masses = rng.dirichlet(np.ones(size))
     return LatticeMeasure(support.astype(np.int64), masses)
 
 
 def _random_signed(rng: np.random.Generator) -> LatticeMeasure:
     size = int(rng.integers(2, 9))
-    support = np.sort(rng.choice(np.arange(-8, 9), size=size, replace=False))
+    support = np.sort(rng.choice(
+        np.arange(-_MAX_POINT, _MAX_POINT + 1), size=size, replace=False
+    ))
     masses = rng.normal(0.0, 1.0, size)
     return LatticeMeasure(support.astype(np.int64), masses)
 
@@ -217,11 +224,11 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @functools.cache
 def _inversion_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The inversion family's grid t on [-pi, pi] and cos(tk), sin(tk)
-    for k = 0..8, one row per t and one column per k.  cos is even and
-    sin odd in k, so a point k < 0 reads column -k, sin with its sign
-    flipped."""
+    for k = 0.._MAX_POINT, one row per t and one column per k.  cos is
+    even and sin odd in k, so a point k < 0 reads column -k, sin with its
+    sign flipped."""
     t = np.linspace(-math.pi, math.pi, SIMPSON_PANELS + 1)
-    x = np.multiply.outer(t, np.arange(9, dtype=np.float64))
+    x = np.multiply.outer(t, np.arange(_MAX_POINT + 1, dtype=np.float64))
     table = (t, np.cos(x), np.sin(x))
     for a in table:
         a.setflags(write=False)

@@ -150,33 +150,15 @@ class LatticeMeasure:
 
     def __add__(self, other: "LatticeMeasure") -> "LatticeMeasure":
         """Sum of measures: both sorted supports are merged into their
-        union, each side's masses are placed on it (shared points add
-        self's mass, then other's) and the result is trimmed.  Two runs of
-        consecutive points that meet or overlap fill slices of one range;
-        other supports are placed by ``searchsorted``."""
+        union, each side's masses are placed by ``searchsorted`` (shared
+        points add self's mass, then other's) and the result is trimmed."""
         if not isinstance(other, LatticeMeasure):
             return NotImplemented
-        budget = self.error_budget + other.error_budget
-        a, b = self.support, other.support
-        if (
-            a.size
-            and b.size
-            and a[-1] - a[0] == a.size - 1
-            and b[-1] - b[0] == b.size - 1
-            and a[0] <= b[-1] + 1
-            and b[0] <= a[-1] + 1
-        ):
-            lo = min(a[0], b[0])
-            out = np.zeros(int(max(a[-1], b[-1]) - lo) + 1)
-            out[a[0] - lo : a[-1] - lo + 1] = self.masses
-            out[b[0] - lo : b[-1] - lo + 1] += other.masses
-            union = np.arange(lo, lo + out.size, dtype=np.int64)
-            return _trim(union, out, budget)
-        union = _sorted_union(a, b)
+        union = _sorted_union(self.support, other.support)
         out = np.zeros(union.size)
-        out[np.searchsorted(union, a)] = self.masses
-        out[np.searchsorted(union, b)] += other.masses
-        return _trim(union, out, budget)
+        out[np.searchsorted(union, self.support)] = self.masses
+        out[np.searchsorted(union, other.support)] += other.masses
+        return _trim(union, out, self.error_budget + other.error_budget)
 
     def __sub__(self, other: "LatticeMeasure") -> "LatticeMeasure":
         if not isinstance(other, LatticeMeasure):
@@ -259,11 +241,8 @@ def _trim(support: np.ndarray, masses: np.ndarray, budget: float) -> LatticeMeas
     """
     if support.size:
         mag = np.abs(masses)
-        threshold = TRIM_RELATIVE * float(mag.sum())
-        keep = mag >= threshold
-        if not threshold > 0.0:
-            keep &= masses != 0.0
-        if np.count_nonzero(keep) < keep.size:
+        keep = (mag >= TRIM_RELATIVE * float(mag.sum())) & (masses != 0.0)
+        if not keep.all():
             budget += float(mag[~keep].sum())
             support = support[keep]
             masses = masses[keep]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsumdist import checks
 from wsumdist.checks import (
     _REGISTRY,
     CHECK_NAMES,
@@ -172,6 +173,17 @@ class TestClauses:
         empty = _clauses([], [], [], lambda i: {})
         assert _first_failure(empty, corrupt=False, instance=0) is None
         assert _first_failure(empty, corrupt=True, instance=0) is None
+
+    def test_inversion_table_follows_draw_range(self, monkeypatch):
+        # A wider draw must widen the table, not index past it.
+        monkeypatch.setattr(checks, "_MAX_POINT", 12)
+        checks._inversion_table.cache_clear()
+        try:
+            assert checks._inversion_table()[1].shape[1] == 13
+            report = run_check(1, 30, names=["inversion"])
+            assert report.ok, report.failures
+        finally:
+            checks._inversion_table.cache_clear()
 
     def test_tables_built_on_first_use(self):
         code = (

@@ -360,21 +360,9 @@ def _raw_measures(draw, points=st.integers(min_value=-6, max_value=6)):
 
 
 @st.composite
-def _raw_run(draw, start):
-    """A hand-built measure on consecutive points from ``start``."""
-    size = draw(st.integers(min_value=1, max_value=8))
-    masses = draw(st.lists(_RAW_MASSES, min_size=size, max_size=size))
-    return LatticeMeasure(np.arange(start, start + size), np.array(masses))
-
-
-@st.composite
 def _raw_pairs(draw):
-    kind = draw(st.sampled_from(["any", "identical", "disjoint", "empty", "runs"]))
-    if kind == "runs":
-        # Consecutive supports that overlap, touch or lie apart.
-        a = draw(_raw_run(draw(st.integers(min_value=-6, max_value=6))))
-        b = draw(_raw_run(draw(st.integers(min_value=-12, max_value=10))))
-    elif kind == "disjoint":
+    kind = draw(st.sampled_from(["any", "identical", "disjoint", "empty"]))
+    if kind == "disjoint":
         a = draw(_raw_measures(st.integers(min_value=-6, max_value=-1)))
         b = draw(_raw_measures(st.integers(min_value=0, max_value=6)))
     else:
