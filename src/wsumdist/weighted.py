@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 # Building the distance's real values on more lattice points than this
-# aborts with ResourceLimitError instead of exhausting memory.
+# aborts with ResourceLimitError instead of exhausting memory.  The distance
+# holds at most five 8-byte arrays per point, so the ceiling is about
+# 5 * 8 B * 10**7 = 400 MB.
 SUPPORT_LIMIT = 10**7
 
 # Two support points share a CDF location iff their real values differ by at
@@ -187,7 +189,12 @@ def _real_points(
     # In place: one box-sized temporary fewer at the distance's memory peak.
     keep = mass_a != 0.0
     keep |= mass_b != 0.0
-    return values[keep], mass_a[keep], mass_b[keep]
+    if not keep.all():
+        # One at a time, so each unfiltered array is freed before the next copy.
+        values = values[keep]
+        mass_a = mass_a[keep]
+        mass_b = mass_b[keep]
+    return values, mass_a, mass_b
 
 
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
@@ -203,7 +210,8 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     The work is linear in the product over weights of the union sizes,
     which exceeds both operands' atom counts when the laws spread over
     different weights; past SUPPORT_LIMIT points it raises
-    ResourceLimitError before allocating.
+    ResourceLimitError before allocating.  Sorting and accumulating reuse
+    buffers, so at most five 8-byte arrays of that size are live at once.
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
@@ -211,11 +219,21 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     if values.size == 0:
         return 0.0
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
-    ends = np.flatnonzero(np.append(np.diff(values) > tol, True))
-    # Both sides accumulate in the same order, so the result is exactly
-    # symmetric in (a, b); a point of the other side adds +0.0.
-    cdf_a = np.cumsum(mass_a[order])[ends]
-    cdf_b = np.cumsum(mass_b[order])[ends]
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    # Permute into reused buffers, at most five box-sized arrays at once:
+    # mode="clip" lets take write straight into out (every index is valid,
+    # so nothing is clipped).  Both sides accumulate in the same order, so
+    # the result is exactly symmetric in (a, b); a point of the other side
+    # adds +0.0.
+    cdf_a = np.take(mass_a, order, out=np.empty_like(mass_a), mode="clip")
+    np.cumsum(cdf_a, out=cdf_a)
+    cdf_b = np.take(mass_b, order, out=mass_a, mode="clip")
+    np.cumsum(cdf_b, out=cdf_b)
+    values = np.take(values, order, out=mass_b, mode="clip")
+    del order
+    tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[0]), abs(values[-1])))
+    # Cluster ends: points whose next value lies more than tol above.
+    last = np.empty(values.size, dtype=bool)
+    np.greater(np.diff(values), tol, out=last[:-1])
+    last[-1] = True
+    np.abs(np.subtract(cdf_a, cdf_b, out=cdf_a), out=cdf_a)
+    return float(np.max(cdf_a[last]))

@@ -138,6 +138,15 @@ class TestRunExample:
         assert dist[0] == pytest.approx(0.0059008144807108365, abs=1e-15)
         assert dist[1] == pytest.approx(0.0010908881270107473, abs=1e-15)
 
+    def test_frozen_large_n_distances(self):
+        # boxes of 0.2 M to 1.5 M lattice points, past the golden files' n <= 1024
+        res = run_example((4096, 16384, 65536))
+        assert [repr(d) for d in res.column("distance")] == [
+            "7.791954310054638e-06",
+            "1.9174220919626617e-06",
+            "4.757367814411939e-07",
+        ]
+
     def test_block_split(self):
         res = run_example((16, 64))
         assert res.column("n1") == [4, 8]

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsumdist.harness import EXAMPLE_F, EXAMPLE_G
 from wsumdist.lattice import (
     LatticeMeasure,
     char_fn,
@@ -23,6 +25,7 @@ from wsumdist.weighted import (
     ResourceLimitError,
     WeightBasis,
     WeightedMeasure,
+    _real_points,
     lift,
     wconvolve,
     weighted_sum_distribution,
@@ -125,6 +128,21 @@ def _clustered_distance(a, b):
     cdf_b = np.cumsum(
         np.bincount(cluster_id[~from_a], weights=masses[~from_a], minlength=clusters)
     )
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _out_of_place_distance(a, b):
+    """The distance body before it reused buffers, verbatim: every step
+    allocates its own box-sized array."""
+    values, mass_a, mass_b = _real_points(a, b)
+    if values.size == 0:
+        return 0.0
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    ends = np.flatnonzero(np.append(np.diff(values) > tol, True))
+    cdf_a = np.cumsum(mass_a[order])[ends]
+    cdf_b = np.cumsum(mass_b[order])[ends]
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
@@ -373,6 +391,46 @@ class TestUnionRoute:
         a, b = pair
         assert wkolmogorov_distance(a, b) == wkolmogorov_distance(b, a)
 
+    @given(signed_pairs(IRRATIONAL_BASES + TIED_BASES))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_out_of_place_body(self, pair):
+        # the buffer reuse keeps every operation, so ties match bit for bit too
+        a, b = pair
+        assert wkolmogorov_distance(a, b) == _out_of_place_distance(a, b)
+
+    @pytest.mark.parametrize("other", [0.25, 0.0])
+    def test_one_point_box(self, other):
+        # np.diff is empty, so the one point is the only cluster end; with
+        # other = 0.0 the point is a's alone
+        a = lift(LatticeMeasure(np.array([2]), np.array([0.75])), 1, BASIS)
+        b = lift(LatticeMeasure(np.array([2]), np.array([other])), 1, BASIS)
+        assert _real_points(a, b)[0].size == 1
+        assert wkolmogorov_distance(a, b) == 0.75 - other
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    def test_most_negative_value_sets_tolerance(self):
+        # |-10**6| sets tol near 1e-3, which merges a's 0 with b's 5e-4
+        basis = WeightBasis((1.0, 5e-4))
+        a = WeightedMeasure(basis, (from_entries({-(10**6): 0.5, 0: 0.5}), delta(0)))
+        b = WeightedMeasure(basis, (delta(0), delta(1)))
+        assert wkolmogorov_distance(a, b) == 0.5
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    def test_filtered_box(self):
+        # a's product at (0, 0) underflows to 0.0 where b has no atom, and
+        # (3, 0) carries nothing: 4 of the 3 x 2 box points are kept
+        a = WeightedMeasure(
+            BASIS,
+            (
+                LatticeMeasure(np.array([0, 7]), np.array([1e-170, 0.5])),
+                LatticeMeasure(np.array([0, 1]), np.array([1e-170, 0.5])),
+            ),
+        )
+        b = WeightedMeasure(BASIS, (from_entries({0: 0.5, 3: 0.5}), from_entries({1: 1.0})))
+        assert _real_points(a, b)[0].size == 4
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+        assert wkolmogorov_distance(a, b) == _out_of_place_distance(a, b)
+
     def test_all_zero_factor(self):
         zero = LatticeMeasure(np.array([0, 3]), np.array([0.0, 0.0]))
         a = WeightedMeasure(BASIS, (F, zero))
@@ -411,6 +469,23 @@ class TestUnionRoute:
         b = lift(wide, 2, BASIS)
         with pytest.raises(ResourceLimitError):
             wkolmogorov_distance(a, b)
+
+
+class TestMemory:
+    def test_peak_below_six_box_arrays(self):
+        # run_example's n = 16384 pair: 224 x 2464 box points, 4.2 MiB per
+        # float array; the distance keeps at most five of them live at once
+        s_law = weighted_sum_distribution([(EXAMPLE_F, 128, 1), (EXAMPLE_F, 16384, 2)], BASIS)
+        z_law = weighted_sum_distribution([(EXAMPLE_G, 128, 1), (EXAMPLE_G, 16384, 2)], BASIS)
+        points = _real_points(s_law, z_law)[0].size
+        assert points == 224 * 2464
+        tracemalloc.start()
+        try:
+            wkolmogorov_distance(s_law, z_law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * points
 
 
 class TestResourceGuard:
