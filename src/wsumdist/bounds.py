@@ -20,6 +20,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .lattice import (
     LatticeMeasure,
     _step_power,
@@ -180,13 +182,34 @@ def _beta(f: LatticeMeasure, g: LatticeMeasure, k: int) -> tuple[float, float]:
     return plus, minus
 
 
+def _factorial_moments(f: LatticeMeasure, s: int, side: str) -> list[float]:
+    """``factorial_moment(f, k, side)`` for k = 1..s, bit for bit, from one
+    running falling-factorial product; each order selects ``pts >= k``, so
+    its dot product sees the same arrays as a call of its own."""
+    support = f.support if side == "plus" else -f.support
+    sel = support >= 1
+    pts = support[sel].astype(np.float64)
+    masses = f.masses[sel]
+    weights = np.ones_like(pts)
+    out = []
+    for k in range(1, s + 1):
+        weights *= pts - (k - 1)
+        keep = pts >= k
+        out.append(float(weights[keep] @ masses[keep]))
+    return out
+
+
 def _moment_gaps(f: LatticeMeasure, g: LatticeMeasure, s: int):
     """(k, side, |gap|) of the order-k factorial moments of f and g, for
     k = 1..s and each tail, in that order."""
+    tails = {
+        side: (_factorial_moments(f, s, side), _factorial_moments(g, s, side))
+        for side in ("plus", "minus")
+    }
     for k in range(1, s + 1):
         for side in ("plus", "minus"):
-            gap = factorial_moment(f, k, side) - factorial_moment(g, k, side)
-            yield k, side, abs(gap)
+            of_f, of_g = tails[side]
+            yield k, side, abs(of_f[k - 1] - of_g[k - 1])
 
 
 def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:

@@ -41,9 +41,12 @@ __all__ = [
 
 # Building the distance's real values on more lattice points than this
 # aborts with ResourceLimitError instead of exhausting memory.  The distance
-# holds at most five 8-byte arrays per point, so the ceiling is about
-# 5 * 8 B * 10**7 = 400 MB.
+# holds about 2.5 8-byte arrays per point, so the ceiling is about
+# 2.5 * 8 B * 10**7 = 200 MB.
 SUPPORT_LIMIT = 10**7
+
+# Points per block when the distance walks its box and its sorted order.
+_BLOCK = 2**16
 
 # Two support points share a CDF location iff their real values differ by at
 # most MERGE_TOL_SCALE * (1 + max |value|).
@@ -159,18 +162,30 @@ def _laid_on(support: np.ndarray, f: LatticeMeasure) -> np.ndarray:
     return out
 
 
-def _real_points(
-    a: WeightedMeasure, b: WeightedMeasure
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real values of the lattice points where a or b has mass, and both masses.
+def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
+    """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
 
-    Per weight, the points are the sorted union of the two factors' supports
-    where they carry nonzero mass.  Returns the values ``sum_i k_i w_i`` in
-    lexicographic order of the product of these unions and each law's
-    product mass at each point; points where both products are exactly 0.0
-    are dropped.  Past SUPPORT_LIMIT points it raises ResourceLimitError
-    before allocating them.
+    Both laws are laid on one box of lattice points: per weight, the union
+    of the two factors' supports where they carry nonzero mass.  Each
+    point's real value ``sum_i k_i w_i`` is built once and sorted once for
+    both sides; points where both laws' product masses are exactly 0.0
+    are dropped.  Values that differ by at most
+    MERGE_TOL_SCALE * (1 + max |value|) are one CDF location (clustered by
+    consecutive gaps), and the two CDFs are compared at each cluster's
+    last point.
+
+    The work is linear in the product over weights of the union sizes,
+    which exceeds both operands' atom counts when the laws spread over
+    different weights; past SUPPORT_LIMIT points it raises
+    ResourceLimitError before allocating.  No box-sized mass array
+    exists: the box is rows (every weight but the last) by columns (the
+    last weight), a point's masses are a row entry times a column entry,
+    and the sorted order is walked in blocks that read them from those
+    small tables.  At most the values, the order and the sort's buffer,
+    about 2.5 8-byte arrays per point, are live at once.
     """
+    if a.basis.weights != b.basis.weights:
+        raise ValueError("Kolmogorov distance requires a common basis")
     unions = [
         _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0])
         for f, g in zip(a.factors, b.factors)
@@ -181,59 +196,86 @@ def _real_points(
             f"weighted support would range over {count} lattice points "
             f"(limit {SUPPORT_LIMIT})"
         )
-    values, mass_a, mass_b = np.zeros(1), np.ones(1), np.ones(1)
-    for union, w, f, g in zip(unions, a.basis.weights, a.factors, b.factors):
-        values = np.add.outer(values, union * w).ravel()
-        mass_a = np.multiply.outer(mass_a, _laid_on(union, f)).ravel()
-        mass_b = np.multiply.outer(mass_b, _laid_on(union, g)).ravel()
-    # In place: one box-sized temporary fewer at the distance's memory peak.
-    keep = mass_a != 0.0
-    keep |= mass_b != 0.0
-    if not keep.all():
-        # One at a time, so each unfiltered array is freed before the next copy.
-        values = values[keep]
-        mass_a = mass_a[keep]
-        mass_b = mass_b[keep]
-    return values, mass_a, mass_b
+    # Box point k is (i, j) = divmod(k, width): its value is
+    # row_v[i] + col_v[j] and its masses row_a[i] * col_a[j] and
+    # row_b[i] * col_b[j], the same operations the full outer products
+    # would make, in weight order.
+    row_v, row_a, row_b = np.zeros(1), np.ones(1), np.ones(1)
+    for union, w, f, g in zip(unions[:-1], a.basis.weights, a.factors, b.factors):
+        row_v = np.add.outer(row_v, union * w).ravel()
+        row_a = np.multiply.outer(row_a, _laid_on(union, f)).ravel()
+        row_b = np.multiply.outer(row_b, _laid_on(union, g)).ravel()
+    union, w = unions[-1], a.basis.weights[-1]
+    col_v = union * w
+    col_a, col_b = _laid_on(union, a.factors[-1]), _laid_on(union, b.factors[-1])
+    width = union.size
 
-
-def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
-    """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
-
-    Both laws are laid on one set of lattice points: per weight, the union
-    of the two factors' supports where they carry nonzero mass.  Each
-    point's real value is built once and sorted once for both sides.
-    Values that differ by at most MERGE_TOL_SCALE * (1 + max |value|) are
-    one CDF location (clustered by consecutive gaps), and the two CDFs are
-    compared at each cluster's last point.
-
-    The work is linear in the product over weights of the union sizes,
-    which exceeds both operands' atom counts when the laws spread over
-    different weights; past SUPPORT_LIMIT points it raises
-    ResourceLimitError before allocating.  Sorting and accumulating reuse
-    buffers, so at most five 8-byte arrays of that size are live at once.
-    """
-    if a.basis.weights != b.basis.weights:
-        raise ValueError("Kolmogorov distance requires a common basis")
-    values, mass_a, mass_b = _real_points(a, b)
-    if values.size == 0:
+    # Values of the kept points in box order, built a block of whole rows
+    # at a time; a block's mask is kept only if it drops points.
+    values = np.empty(count)
+    masks: list[tuple[int, np.ndarray]] = []
+    kept = 0
+    step = max(1, _BLOCK // max(width, 1))
+    for r0 in range(0, row_v.size, step):
+        rows = slice(r0, r0 + step)
+        keep = np.multiply.outer(row_a[rows], col_a).ravel() != 0.0
+        keep |= np.multiply.outer(row_b[rows], col_b).ravel() != 0.0
+        block = np.add.outer(row_v[rows], col_v).ravel()
+        if not keep.all():
+            masks.append((r0 * width, keep))
+            block = block[keep]
+        values[kept : kept + block.size] = block
+        kept += block.size
+    if kept == 0:
         return 0.0
+    values = values[:kept]
     order = np.argsort(values, kind="stable")
-    # Permute into reused buffers, at most five box-sized arrays at once:
-    # mode="clip" lets take write straight into out (every index is valid,
-    # so nothing is clipped).  Both sides accumulate in the same order, so
-    # the result is exactly symmetric in (a, b); a point of the other side
-    # adds +0.0.
-    cdf_a = np.take(mass_a, order, out=np.empty_like(mass_a), mode="clip")
-    np.cumsum(cdf_a, out=cdf_a)
-    cdf_b = np.take(mass_b, order, out=mass_a, mode="clip")
-    np.cumsum(cdf_b, out=cdf_b)
-    values = np.take(values, order, out=mass_b, mode="clip")
-    del order
-    tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[0]), abs(values[-1])))
-    # Cluster ends: points whose next value lies more than tol above.
-    last = np.empty(values.size, dtype=bool)
-    np.greater(np.diff(values), tol, out=last[:-1])
+    tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[order[0]]), abs(values[order[-1]])))
+    # Cluster ends: points whose next value lies more than tol above.  Each
+    # block of the sorted order takes one value past its end.
+    last = np.empty(kept, dtype=bool)
+    for s0 in range(0, kept, _BLOCK):
+        gaps = np.diff(np.take(values, order[s0 : s0 + _BLOCK + 1]))
+        np.greater(gaps, tol, out=last[s0 : s0 + gaps.size])
     last[-1] = True
-    np.abs(np.subtract(cdf_a, cdf_b, out=cdf_a), out=cdf_a)
-    return float(np.max(cdf_a[last]))
+    del values
+
+    # Kept position -> box index, only when some point was dropped: a run
+    # of fully kept blocks maps position p to p + (points dropped before).
+    source = None
+    if masks:
+        source = np.arange(kept)
+        pos = shift = 0
+        for start, keep in masks:
+            source[pos : start - shift] += shift
+            pos = start - shift
+            picked = np.flatnonzero(keep)
+            source[pos : pos + picked.size] = picked + start
+            pos += picked.size
+            shift = start + keep.size - pos
+        source[pos:] += shift
+
+    # Both sides accumulate in the same order, so the result is exactly
+    # symmetric in (a, b).  Slot 0 of each buffer carries the previous
+    # block's last cumulative value into cumsum, which adds strictly in
+    # order, so the blocks give one cumsum's numbers; -0.0 starts it, as
+    # -0.0 + x is x for every x.
+    size = min(kept, _BLOCK) + 1
+    buf_a, buf_b = np.empty(size), np.empty(size)
+    buf_a[0] = buf_b[0] = -0.0
+    peak = 0.0
+    for s0 in range(0, kept, _BLOCK):
+        index = order[s0 : s0 + _BLOCK]
+        if source is not None:
+            index = source[index]
+        i, j = np.divmod(index, width)
+        cdf_a, cdf_b = buf_a[: index.size + 1], buf_b[: index.size + 1]
+        np.multiply(row_a[i], col_a[j], out=cdf_a[1:])
+        np.multiply(row_b[i], col_b[j], out=cdf_b[1:])
+        np.cumsum(cdf_a, out=cdf_a)
+        np.cumsum(cdf_b, out=cdf_b)
+        ends = last[s0 : s0 + index.size]
+        gaps = np.abs(cdf_a[1:][ends] - cdf_b[1:][ends])
+        peak = np.maximum(peak, np.max(gaps, initial=0.0))
+        buf_a[0], buf_b[0] = cdf_a[-1], cdf_b[-1]
+    return float(peak)

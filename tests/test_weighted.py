@@ -3,12 +3,14 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsumdist import weighted
 from wsumdist.harness import EXAMPLE_F, EXAMPLE_G
 from wsumdist.lattice import (
     LatticeMeasure,
@@ -16,16 +18,18 @@ from wsumdist.lattice import (
     convolve,
     delta,
     from_entries,
+    _sorted_union,
     kolmogorov_norm,
     power,
     tv_norm,
 )
 from wsumdist.weighted import (
     MERGE_TOL_SCALE,
+    SUPPORT_LIMIT,
     ResourceLimitError,
     WeightBasis,
     WeightedMeasure,
-    _real_points,
+    _laid_on,
     lift,
     wconvolve,
     weighted_sum_distribution,
@@ -132,9 +136,32 @@ def _clustered_distance(a, b):
 
 
 def _out_of_place_distance(a, b):
-    """The distance body before it reused buffers, verbatim: every step
-    allocates its own box-sized array."""
-    values, mass_a, mass_b = _real_points(a, b)
+    """The distance body before it reused buffers, with the box-sized real
+    points it once built, verbatim: every step allocates its own box-sized
+    array."""
+    unions = [
+        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0])
+        for f, g in zip(a.factors, b.factors)
+    ]
+    count = math.prod(union.size for union in unions)
+    if count > SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"weighted support would range over {count} lattice points "
+            f"(limit {SUPPORT_LIMIT})"
+        )
+    values, mass_a, mass_b = np.zeros(1), np.ones(1), np.ones(1)
+    for union, w, f, g in zip(unions, a.basis.weights, a.factors, b.factors):
+        values = np.add.outer(values, union * w).ravel()
+        mass_a = np.multiply.outer(mass_a, _laid_on(union, f)).ravel()
+        mass_b = np.multiply.outer(mass_b, _laid_on(union, g)).ravel()
+    # In place: one box-sized temporary fewer at the distance's memory peak.
+    keep = mass_a != 0.0
+    keep |= mass_b != 0.0
+    if not keep.all():
+        # One at a time, so each unfiltered array is freed before the next copy.
+        values = values[keep]
+        mass_a = mass_a[keep]
+        mass_b = mass_b[keep]
     if values.size == 0:
         return 0.0
     order = np.argsort(values, kind="stable")
@@ -144,6 +171,15 @@ def _out_of_place_distance(a, b):
     cdf_a = np.cumsum(mass_a[order])[ends]
     cdf_b = np.cumsum(mass_b[order])[ends]
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _box_size(a, b):
+    """Lattice points in the distance's box: the product of the per-weight
+    unions of both laws' supports where they carry nonzero mass."""
+    return math.prod(
+        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0]).size
+        for f, g in zip(a.factors, b.factors)
+    )
 
 
 # Bases whose weight ratios are pairwise irrational: on small supports no two
@@ -404,7 +440,7 @@ class TestUnionRoute:
         # other = 0.0 the point is a's alone
         a = lift(LatticeMeasure(np.array([2]), np.array([0.75])), 1, BASIS)
         b = lift(LatticeMeasure(np.array([2]), np.array([other])), 1, BASIS)
-        assert _real_points(a, b)[0].size == 1
+        assert _box_size(a, b) == 1
         assert wkolmogorov_distance(a, b) == 0.75 - other
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
@@ -427,7 +463,7 @@ class TestUnionRoute:
             ),
         )
         b = WeightedMeasure(BASIS, (from_entries({0: 0.5, 3: 0.5}), from_entries({1: 1.0})))
-        assert _real_points(a, b)[0].size == 4
+        assert _box_size(a, b) == 3 * 2
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
         assert wkolmogorov_distance(a, b) == _out_of_place_distance(a, b)
 
@@ -471,13 +507,94 @@ class TestUnionRoute:
             wkolmogorov_distance(a, b)
 
 
+def _measure(basis, *laws):
+    """A weighted measure from one (points, masses) pair per weight."""
+    return WeightedMeasure(
+        WeightBasis(basis),
+        tuple(LatticeMeasure(np.array(k, dtype=np.int64), np.array(m)) for k, m in laws),
+    )
+
+
+# Small boxes that put each seam case under blocks of 1, 2, 3 and 7 points.
+SEAM_CASES = {
+    # box 3 x 2, sorted values 0, 1, 2, 2, 3, 4: the tie at 2 spans sorted
+    # positions 2 and 3, across the seam of blocks of 1 and of 3
+    "tie-across-seam": (
+        _measure((1.0, 2.0), ([0, 1, 2], [0.25, 0.25, 0.5]), ([0, 1], [0.5, 0.5])),
+        _measure((1.0, 2.0), ([0, 2], [0.5, 0.5]), ([0, 1], [0.75, 0.25])),
+    ),
+    # box 5 x 2: a stores zeros at 2 and 3, b at 1 and 4; a's 1e-200 *
+    # 1e-170 underflows, so (1, 1), (2, 1) and (3, 1) are dropped mid-box
+    # between rows 0 and 4, which are kept whole
+    "dropped-mid-box": (
+        _measure(
+            (1.0, SQRT2),
+            ([0, 1, 2, 3, 4], [0.5, 1e-200, 0.0, 0.0, 0.25]),
+            ([0, 1], [0.5, 1e-170]),
+        ),
+        _measure(
+            (1.0, SQRT2), ([0, 1, 2, 3, 4], [0.25, 0.0, 0.5, 0.25, 0.0]), ([0], [1.0])
+        ),
+    ),
+    # box (2 x 3) x 2: each row spans the first two weights
+    "three-weights": (
+        _measure((1.0, SQRT2, SQRT3), ([0, 1], [0.5, 0.5]), ([0, 2], [0.25, 0.75]), ([1], [1.0])),
+        _measure((1.0, SQRT2, SQRT3), ([1], [1.0]), ([0, 1, 2], [0.5, -0.25, 0.75]), ([0], [1.0])),
+    ),
+    # box (2 x 2) x 2 on weights (1, 2, 3): values 0, 3, 2, 5, 3, 6, 5, 8 in
+    # box order, so the ties at 3 and 5 join points of different rows
+    "three-weights-tied": (
+        _measure((1.0, 2.0, 3.0), ([0, 3], [0.5, 0.5]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.5, 0.5])),
+        _measure((1.0, 2.0, 3.0), ([0, 3], [0.25, 0.75]), ([0], [1.0]), ([0, 1], [0.75, 0.25])),
+    ),
+    # box 3 x 2 where every product underflows to 0.0
+    "all-dropped": (
+        _measure((1.0, SQRT2), ([0, 5], [1e-200, -1e-200]), ([0], [1e-170])),
+        _measure((1.0, SQRT2), ([1], [1e-190]), ([2], [1e-180])),
+    ),
+    "one-point": (
+        _measure((1.0, SQRT2), ([2], [0.75]), ([0], [1.0])),
+        _measure((1.0, SQRT2), ([2], [0.25]), ([0], [1.0])),
+    ),
+}
+
+
+class TestBlockSeams:
+    """The distance walks its box and its sorted order in blocks of
+    weighted._BLOCK points; tiny blocks put every seam case on a seam."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("case", sorted(SEAM_CASES))
+    def test_seam_cases_equal_out_of_place_body(self, case, block):
+        a, b = SEAM_CASES[case]
+        with mock.patch.object(weighted, "_BLOCK", block):
+            got = wkolmogorov_distance(a, b)
+        assert got == _out_of_place_distance(a, b)
+        if case == "all-dropped":
+            assert _box_size(a, b) == 3 * 2
+            assert got == 0.0
+        if case == "one-point":
+            assert _box_size(a, b) == 1
+            assert got == 0.5
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @given(pair=signed_pairs(IRRATIONAL_BASES + TIED_BASES))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_out_of_place_body(self, block, pair):
+        a, b = pair
+        with mock.patch.object(weighted, "_BLOCK", block):
+            got = wkolmogorov_distance(a, b)
+        assert got == _out_of_place_distance(a, b)
+
+
 class TestMemory:
-    def test_peak_below_six_box_arrays(self):
+    def test_peak_below_three_box_arrays(self):
         # run_example's n = 16384 pair: 224 x 2464 box points, 4.2 MiB per
-        # float array; the distance keeps at most five of them live at once
+        # float array; the distance keeps the values, the sort order and
+        # the sort's buffer live at once, about 2.5 of them
         s_law = weighted_sum_distribution([(EXAMPLE_F, 128, 1), (EXAMPLE_F, 16384, 2)], BASIS)
         z_law = weighted_sum_distribution([(EXAMPLE_G, 128, 1), (EXAMPLE_G, 16384, 2)], BASIS)
-        points = _real_points(s_law, z_law)[0].size
+        points = _box_size(s_law, z_law)
         assert points == 224 * 2464
         tracemalloc.start()
         try:
@@ -485,7 +602,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 8 * points
+        assert peak < 3 * 8 * points
 
 
 class TestResourceGuard:
