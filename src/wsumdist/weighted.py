@@ -6,7 +6,8 @@ onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
 acts weight by weight on the integer lattice, so it never loses support
 identity to float rounding.  A measure is only its factors: real values
 are formed only by the Kolmogorov distance, once, on the union of both
-laws' lattice points, and it raises ResourceLimitError past SUPPORT_LIMIT
+laws' lattice points, one slab of value at a time, so its memory does not
+grow with that union; it raises ResourceLimitError past SUPPORT_LIMIT
 points.  Real values within a tolerance proportional to the largest value
 in play are one location.
 """
@@ -39,14 +40,15 @@ __all__ = [
     "wkolmogorov_distance",
 ]
 
-# Building the distance's real values on more lattice points than this
-# aborts with ResourceLimitError instead of exhausting memory.  The distance
-# holds about 2.5 8-byte arrays per point, so the ceiling is about
-# 2.5 * 8 B * 10**7 = 200 MB.
+# The distance aborts with ResourceLimitError instead of walking a box of
+# more lattice points than this.  Its memory no longer grows with the box
+# (see _BLOCK), so the ceiling bounds the work: one pass over the box, each
+# point sorted once within its slab.
 SUPPORT_LIMIT = 10**7
 
-# Points per block when the distance walks its box and its sorted order.
-_BLOCK = 2**16
+# Points per slab, on average, when the distance walks its box in slabs of
+# value; the slabs' arrays are the only ones that grow with the box.
+_BLOCK = 2**14
 
 # Two support points share a CDF location iff their real values differ by at
 # most MERGE_TOL_SCALE * (1 + max |value|).
@@ -162,6 +164,29 @@ def _laid_on(support: np.ndarray, f: LatticeMeasure) -> np.ndarray:
     return out
 
 
+def _cut(row_v: np.ndarray, col_v: np.ndarray, bound: float) -> np.ndarray:
+    """Per row i, the first column j with ``row_v[i] + col_v[j] >= bound``.
+
+    The float sum is nondecreasing in j, so the columns below the cut are
+    exactly the row's points below the bound.  ``searchsorted`` on
+    ``bound - row_v`` can land a column off, as either float difference
+    may round across the bound; the cut then steps one column at a time
+    until the sums themselves straddle it.
+    """
+    cut = np.searchsorted(col_v, bound - row_v)
+    while True:
+        down = (cut > 0) & (row_v + col_v[np.maximum(cut - 1, 0)] >= bound)
+        if not down.any():
+            break
+        cut -= down
+    last = col_v.size - 1
+    while True:
+        up = (cut <= last) & (row_v + col_v[np.minimum(cut, last)] < bound)
+        if not up.any():
+            return cut
+        cut += up
+
+
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
 
@@ -177,12 +202,12 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     The work is linear in the product over weights of the union sizes,
     which exceeds both operands' atom counts when the laws spread over
     different weights; past SUPPORT_LIMIT points it raises
-    ResourceLimitError before allocating.  No box-sized mass array
-    exists: the box is rows (every weight but the last) by columns (the
-    last weight), a point's masses are a row entry times a column entry,
-    and the sorted order is walked in blocks that read them from those
-    small tables.  At most the values, the order and the sort's buffer,
-    about 2.5 8-byte arrays per point, are live at once.
+    ResourceLimitError before allocating.  No array grows with the box:
+    the box is rows (every weight but the last) by columns (the last
+    weight), and it is walked in slabs of value, equal-width ranges that
+    hold about _BLOCK points each.  A slab is gathered, sorted and
+    accumulated on its own, so memory is O(rows + columns + _BLOCK) and
+    every number is the one a single sort of the whole box would give.
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
@@ -196,10 +221,11 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
             f"weighted support would range over {count} lattice points "
             f"(limit {SUPPORT_LIMIT})"
         )
-    # Box point k is (i, j) = divmod(k, width): its value is
-    # row_v[i] + col_v[j] and its masses row_a[i] * col_a[j] and
-    # row_b[i] * col_b[j], the same operations the full outer products
-    # would make, in weight order.
+    if count == 0:
+        return 0.0
+    # Box point (i, j) has value row_v[i] + col_v[j] and masses
+    # row_a[i] * col_a[j] and row_b[i] * col_b[j], the same operations the
+    # full outer products would make, in weight order.
     row_v, row_a, row_b = np.zeros(1), np.ones(1), np.ones(1)
     for union, w, f, g in zip(unions[:-1], a.basis.weights, a.factors, b.factors):
         row_v = np.add.outer(row_v, union * w).ravel()
@@ -208,74 +234,76 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     union, w = unions[-1], a.basis.weights[-1]
     col_v = union * w
     col_a, col_b = _laid_on(union, a.factors[-1]), _laid_on(union, b.factors[-1])
-    width = union.size
 
-    # Values of the kept points in box order, built a block of whole rows
-    # at a time; a block's mask is kept only if it drops points.
-    values = np.empty(count)
-    masks: list[tuple[int, np.ndarray]] = []
-    kept = 0
-    step = max(1, _BLOCK // max(width, 1))
-    for r0 in range(0, row_v.size, step):
-        rows = slice(r0, r0 + step)
-        keep = np.multiply.outer(row_a[rows], col_a).ravel() != 0.0
-        keep |= np.multiply.outer(row_b[rows], col_b).ravel() != 0.0
-        block = np.add.outer(row_v[rows], col_v).ravel()
+    # Slab k holds the points whose exact float value v has
+    # bounds[k] <= v < bounds[k + 1], so equal values share a slab, and a
+    # row's share of a slab is one run of columns.  Float addition is
+    # monotone, so the box's extreme values are the extreme row plus the
+    # extreme column, and along the rows in value order each row's lowest
+    # and highest points are nondecreasing.
+    slabs = -(-count // _BLOCK)
+    low = row_v.min() + col_v[0]
+    bounds = low + np.arange(slabs + 1) * ((row_v.max() + col_v[-1] - low) / slabs)
+    bounds[0], bounds[-1] = -np.inf, np.inf
+    rank = np.argsort(row_v, kind="stable")
+    row_low, row_high = row_v[rank] + col_v[0], row_v[rank] + col_v[-1]
+
+    def slab(k: int) -> tuple[np.ndarray, ...]:
+        """Slab k's kept values and both masses, in stable value order.
+
+        Only rows with a point in the slab take part.  Their runs are
+        gathered row by row in box order, so the stable order within the
+        slab is its part of the whole box's stable order."""
+        lower, upper = bounds[k], bounds[k + 1]
+        rows = np.sort(rank[np.searchsorted(row_high, lower) : np.searchsorted(row_low, upper)])
+        rows_v = row_v[rows]
+        start = _cut(rows_v, col_v, lower)
+        runs = _cut(rows_v, col_v, upper) - start
+        first = np.cumsum(runs) - runs  # each run's first slot in the slab
+        col = np.arange(runs.sum()) + np.repeat(start - first, runs)
+        mass_a = np.repeat(row_a[rows], runs) * col_a[col]
+        mass_b = np.repeat(row_b[rows], runs) * col_b[col]
+        values = np.repeat(rows_v, runs) + col_v[col]
+        keep = mass_a != 0.0
+        keep |= mass_b != 0.0
         if not keep.all():
-            masks.append((r0 * width, keep))
-            block = block[keep]
-        values[kept : kept + block.size] = block
-        kept += block.size
-    if kept == 0:
-        return 0.0
-    values = values[:kept]
-    order = np.argsort(values, kind="stable")
-    tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[order[0]]), abs(values[order[-1]])))
-    # Cluster ends: points whose next value lies more than tol above.  Each
-    # block of the sorted order takes one value past its end.
-    last = np.empty(kept, dtype=bool)
-    for s0 in range(0, kept, _BLOCK):
-        gaps = np.diff(np.take(values, order[s0 : s0 + _BLOCK + 1]))
-        np.greater(gaps, tol, out=last[s0 : s0 + gaps.size])
-    last[-1] = True
-    del values
+            values, mass_a, mass_b = values[keep], mass_a[keep], mass_b[keep]
+        order = np.argsort(values, kind="stable")
+        return values[order], mass_a[order], mass_b[order]
 
-    # Kept position -> box index, only when some point was dropped: a run
-    # of fully kept blocks maps position p to p + (points dropped before).
-    source = None
-    if masks:
-        source = np.arange(kept)
-        pos = shift = 0
-        for start, keep in masks:
-            source[pos : start - shift] += shift
-            pos = start - shift
-            picked = np.flatnonzero(keep)
-            source[pos : pos + picked.size] = picked + start
-            pos += picked.size
-            shift = start + keep.size - pos
-        source[pos:] += shift
+    # The largest kept value lies in the highest slab that keeps a point;
+    # the walk reuses that slab and stops there.
+    for top in range(slabs - 1, -1, -1):
+        top_slab = slab(top)
+        if top_slab[0].size:
+            break
+    else:
+        return 0.0
+    high = top_slab[0][-1]
 
     # Both sides accumulate in the same order, so the result is exactly
-    # symmetric in (a, b).  Slot 0 of each buffer carries the previous
-    # block's last cumulative value into cumsum, which adds strictly in
-    # order, so the blocks give one cumsum's numbers; -0.0 starts it, as
-    # -0.0 + x is x for every x.
-    size = min(kept, _BLOCK) + 1
-    buf_a, buf_b = np.empty(size), np.empty(size)
-    buf_a[0] = buf_b[0] = -0.0
+    # symmetric in (a, b).  Slot 0 of each cumsum carries the previous
+    # slab's total, and cumsum adds strictly in order, so the slabs give
+    # one cumsum's numbers; -0.0 starts it, as -0.0 + x is x for every x.
+    # A slab's last point is a cluster end once the next slab's first
+    # value lies more than tol above it, or when no slab follows.
+    total_a = total_b = -0.0
+    tol = last = pending = None
     peak = 0.0
-    for s0 in range(0, kept, _BLOCK):
-        index = order[s0 : s0 + _BLOCK]
-        if source is not None:
-            index = source[index]
-        i, j = np.divmod(index, width)
-        cdf_a, cdf_b = buf_a[: index.size + 1], buf_b[: index.size + 1]
-        np.multiply(row_a[i], col_a[j], out=cdf_a[1:])
-        np.multiply(row_b[i], col_b[j], out=cdf_b[1:])
+    for k in range(top + 1):
+        values, mass_a, mass_b = top_slab if k == top else slab(k)
+        if values.size == 0:
+            continue
+        if tol is None:
+            tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[0]), abs(high)))
+        elif values[0] - last > tol:
+            peak = np.maximum(peak, pending)
+        cdf_a = np.concatenate(([total_a], mass_a))
+        cdf_b = np.concatenate(([total_b], mass_b))
         np.cumsum(cdf_a, out=cdf_a)
         np.cumsum(cdf_b, out=cdf_b)
-        ends = last[s0 : s0 + index.size]
-        gaps = np.abs(cdf_a[1:][ends] - cdf_b[1:][ends])
-        peak = np.maximum(peak, np.max(gaps, initial=0.0))
-        buf_a[0], buf_b[0] = cdf_a[-1], cdf_b[-1]
-    return float(peak)
+        gaps = np.abs(cdf_a[1:] - cdf_b[1:])
+        peak = np.maximum(peak, np.max(gaps[:-1][np.diff(values) > tol], initial=0.0))
+        total_a, total_b = cdf_a[-1], cdf_b[-1]
+        last, pending = values[-1], gaps[-1]
+    return float(np.maximum(peak, pending))

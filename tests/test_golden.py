@@ -1,9 +1,10 @@
 """Default CLI outputs match the files in tests/golden/ byte for byte.
 
-Each golden file is the stdout of one command on its built-in defaults.
-A change that moves any byte of these outputs fails here until the file
-is regenerated, e.g. ``python -m wsumdist nb --json > tests/golden/nb.json``
-with ``src`` on the path, and the change says which outputs moved.
+Each golden file is the stdout of one command on its built-in defaults,
+as plain text (``.txt``) or as JSON (``.json``).  A change that moves any
+byte of these outputs fails here until the file is regenerated, e.g.
+``python -m wsumdist nb --json > tests/golden/nb.json`` with ``src`` on
+the path, and the change says which outputs moved.
 """
 
 from pathlib import Path
@@ -14,6 +15,10 @@ from wsumdist import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
+    "example.txt": ("example",),
+    "markov.txt": ("markov",),
+    "nb.txt": ("nb",),
+    "demo-intro.txt": ("demo-intro",),
     "example.json": ("example", "--json"),
     "markov.json": ("markov", "--json"),
     "nb.json": ("nb", "--json"),

@@ -211,6 +211,22 @@ class TestRunMarkov:
         assert len(res.rows) == 1
         assert res.column("distance")[0] > 0.0
 
+    def test_frozen_two_chain_distances(self):
+        # boxes of 10^4 to 4.3 * 10^5 lattice points; from n = 400 on, the
+        # products of the chains' underflowing tails are dropped
+        cfg = ExperimentConfig(
+            kind="markov-sweep",
+            n_grid=(100, 200, 400, 800),
+            weights=(1.0, math.sqrt(2.0)),
+            chains=((0.3, 0.02), (0.25, 0.015)),
+        )
+        assert [repr(d) for d in run_markov(cfg).column("distance")] == [
+            "0.0006463125839663852",
+            "0.00046166611116649214",
+            "0.00033142873801605965",
+            "0.000235764475485567",
+        ]
+
     @pytest.mark.parametrize(
         "weights,chains",
         [((1.0,), ((0.3, 0.02),)), ((1.0, math.sqrt(2.0)), ((0.3, 0.02), (0.25, 0.015)))],

@@ -452,6 +452,24 @@ class TestUnionRoute:
         assert wkolmogorov_distance(a, b) == 0.5
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
+    def test_largest_value_sets_tolerance(self):
+        # 10**6 sets tol near 1e-3, which merges a's 5e-4 with b's 0 and
+        # a's 10**6 + 5e-4 with b's 10**6
+        basis = WeightBasis((1.0, 5e-4))
+        laws = from_entries({0: 0.5, 10**6: 0.5})
+        a = WeightedMeasure(basis, (laws, delta(1)))
+        b = WeightedMeasure(basis, (laws, delta(0)))
+        assert wkolmogorov_distance(a, b) == 0.0
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+
+    def test_tied_box_keeps_box_order(self):
+        # 144 points on 34 integer values: ties are accumulated in box
+        # order, which a sort that is not stable would change in the last bit
+        k = np.arange(12)
+        a = _measure((1.0, 2.0), (k, (k % 7 + 1) / 10.0), (k, (k % 5 + 1) / 3.0))
+        b = _measure((1.0, 2.0), (k, (k % 3 + 1) / 7.0), (k, (k % 4 + 1) / 9.0))
+        assert wkolmogorov_distance(a, b) == _out_of_place_distance(a, b)
+
     def test_filtered_box(self):
         # a's product at (0, 0) underflows to 0.0 where b has no atom, and
         # (3, 0) carries nothing: 4 of the 3 x 2 box points are kept
@@ -547,6 +565,19 @@ SEAM_CASES = {
         _measure((1.0, 2.0, 3.0), ([0, 3], [0.5, 0.5]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.5, 0.5])),
         _measure((1.0, 2.0, 3.0), ([0, 3], [0.25, 0.75]), ([0], [1.0]), ([0, 1], [0.75, 0.25])),
     ),
+    # box (2 x 2) x 2 on weights (1, 2, 1): the rows' values are 0, 2, 1, 3
+    # in box order, so the tie at 2 joins row 1's first point and row 2's
+    # second, which rows taken in value order would gather the other way
+    # round; with these masses that order moves the last bit
+    "rows-out-of-value-order": (
+        _measure(
+            (1.0, 2.0, 1.0),
+            ([0, 1], [0.57, 0.58]),
+            ([0, 1], [-0.89, -0.26]),
+            ([0, 1], [-0.83, -0.61]),
+        ),
+        _measure((1.0, 2.0, 1.0), ([0, 1], [0.5, 0.5]), ([0], [1.0]), ([0], [1.0])),
+    ),
     # box 3 x 2 where every product underflows to 0.0
     "all-dropped": (
         _measure((1.0, SQRT2), ([0, 5], [1e-200, -1e-200]), ([0], [1e-170])),
@@ -556,12 +587,52 @@ SEAM_CASES = {
         _measure((1.0, SQRT2), ([2], [0.75]), ([0], [1.0])),
         _measure((1.0, SQRT2), ([2], [0.25]), ([0], [1.0])),
     ),
+    # box 4 x 3: both laws' products underflow on rows 2 and 3 by columns 1
+    # and 2, which hold the box's largest values, so the top slabs keep no
+    # point under blocks of 1, 2 and 3 and the search for the largest kept
+    # value walks down past them
+    "underflowed-top": (
+        _measure(
+            (1.0, SQRT2),
+            ([0, 1, 2, 3], [0.5, 0.5, 1e-200, 1e-200]),
+            ([0, 1, 2], [0.5, 1e-170, 1e-170]),
+        ),
+        _measure(
+            (1.0, SQRT2), ([0, 1, 3], [0.25, 0.75, 1e-190]), ([0, 2], [1.0, 1e-180])
+        ),
+    ),
+    # box 3 x 2, values 0, 1, 2 and 20 * sqrt(2) + (0, 1, 2): the slabs
+    # between the two groups are empty under blocks of 1 and 2
+    "empty-interior": (
+        _measure((1.0, SQRT2), ([0, 1, 2], [0.25, 0.5, 0.25]), ([0, 20], [0.5, 0.5])),
+        _measure((1.0, SQRT2), ([0, 2], [0.5, 0.5]), ([0, 20], [0.25, 0.75])),
+    ),
+    # box 4 x 3 on weights (1, 2), values 0..12 with ties at 2, 4, 6 and 8:
+    # the slab bounds are integers under every block tried, and a tie lies
+    # on one (at 6 under blocks of 3 and 7, at each tie under 1 and 2)
+    "tie-on-bound": (
+        _measure((1.0, 2.0), ([0, 2, 4, 6], [0.25, 0.25, 0.25, 0.25]), ([0, 1, 3], [0.5, 0.25, 0.25])),
+        _measure((1.0, 2.0), ([0, 4, 6], [0.5, 0.25, 0.25]), ([0, 1, 3], [0.25, 0.5, 0.25])),
+    ),
+    # box 3 x 2 on weights (1, 5e-4): |2**20| sets tol near 1.05e-3, so each
+    # of a's points merges with b's point 5e-4 above it, and the distance
+    # is 0.0; under blocks of 1 and 3 the middle slab bound lies between
+    # -5e-4 and 0, so that merge spans a seam
+    "merge-across-seam": (
+        _measure((1.0, 5e-4), ([-(2**20), 0, 2**20], [0.25, 0.5, 0.25]), ([-1], [1.0])),
+        _measure((1.0, 5e-4), ([-(2**20), 0, 2**20], [0.25, 0.5, 0.25]), ([0], [1.0])),
+    ),
+    # one weight: a single row of 7 columns, a stored zero included
+    "one-weight": (
+        _measure((SQRT2,), ([0, 1, 2, 3, 5, 6], [0.25, 0.0, 0.25, 0.125, 0.25, 0.125])),
+        _measure((SQRT2,), ([1, 2, 4, 6], [0.5, 0.125, 0.25, 0.125])),
+    ),
 }
 
 
 class TestBlockSeams:
-    """The distance walks its box and its sorted order in blocks of
-    weighted._BLOCK points; tiny blocks put every seam case on a seam."""
+    """The distance walks its box in slabs of value holding about
+    weighted._BLOCK points each; tiny blocks put every seam case on a seam."""
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     @pytest.mark.parametrize("case", sorted(SEAM_CASES))
@@ -576,6 +647,33 @@ class TestBlockSeams:
         if case == "one-point":
             assert _box_size(a, b) == 1
             assert got == 0.5
+        if case == "tie-on-bound":
+            # slabs from 0 to 12 in ceil(12 / block) equal steps
+            assert _box_size(a, b) == 12
+            slabs = -(-12 // block)
+            assert 6 in {k * 12 / slabs for k in range(1, slabs)}
+        if case == "one-weight":
+            assert _box_size(a, b) == 7
+        if case == "merge-across-seam":
+            assert got == 0.0
+
+    @given(
+        row_v=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+        col_v=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+        scales=st.sampled_from([(0.1, 0.3), (1.0, SQRT2), (SQRT3, 0.1), (0.7, 1e-3)]),
+        pick=st.integers(0, 35),
+        shift=st.sampled_from([-np.inf, 0.0, np.inf]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cut_counts_row_points_below_bound(self, row_v, col_v, scales, pick, shift):
+        # bounds on a sum or one ulp either side of it, where
+        # searchsorted(col_v, bound - row_v) can land a column off
+        row_v = np.array(row_v) * scales[0]
+        col_v = np.sort(np.array(col_v) * scales[1])
+        sums = np.add.outer(row_v, col_v)
+        bound = np.nextafter(sums.ravel()[pick % sums.size], shift)
+        got = weighted._cut(row_v, col_v, bound)
+        assert got.tolist() == (sums < bound).sum(axis=1).tolist()
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     @given(pair=signed_pairs(IRRATIONAL_BASES + TIED_BASES))
@@ -590,8 +688,7 @@ class TestBlockSeams:
 class TestMemory:
     def test_peak_below_three_box_arrays(self):
         # run_example's n = 16384 pair: 224 x 2464 box points, 4.2 MiB per
-        # float array; the distance keeps the values, the sort order and
-        # the sort's buffer live at once, about 2.5 of them
+        # float array; the distance holds a few arrays of one slab's size
         s_law = weighted_sum_distribution([(EXAMPLE_F, 128, 1), (EXAMPLE_F, 16384, 2)], BASIS)
         z_law = weighted_sum_distribution([(EXAMPLE_G, 128, 1), (EXAMPLE_G, 16384, 2)], BASIS)
         points = _box_size(s_law, z_law)
@@ -603,6 +700,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * points
+
+    @pytest.mark.parametrize("n1,n,points", [(128, 16384, 224 * 2464), (256, 65536, 316 * 4871)])
+    def test_peak_does_not_follow_the_box(self, n1, n, points):
+        # run_example's n = 16384 and n = 65536 pairs; with slabs of about
+        # 2**12 points no array grows with the box, so one call stays below
+        # half of one box-sized float array
+        s_law = weighted_sum_distribution([(EXAMPLE_F, n1, 1), (EXAMPLE_F, n, 2)], BASIS)
+        z_law = weighted_sum_distribution([(EXAMPLE_G, n1, 1), (EXAMPLE_G, n, 2)], BASIS)
+        assert _box_size(s_law, z_law) == points
+        with mock.patch.object(weighted, "_BLOCK", 2**12):
+            tracemalloc.start()
+            try:
+                wkolmogorov_distance(s_law, z_law)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * 8 * points
 
 
 class TestResourceGuard:
