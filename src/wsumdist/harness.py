@@ -211,6 +211,19 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be a list")
         if not all(isinstance(pair, (list, tuple)) for pair in payload.get("chains", ())):
             raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
+        # __post_init__'s int() would truncate 16.7 and read true as 1, and
+        # open() would take a number as out for a file descriptor.
+        for name in ("n_grid", "s", "k0", "seed", "count"):
+            if name in payload:
+                items = payload[name] if name == "n_grid" else [payload[name]]
+                if any(type(v) is not int for v in items):
+                    raise ValueError(
+                        f"bad config value: {name!r} takes integers, got {payload[name]!r}"
+                    )
+        if not isinstance(payload.get("out"), (str, type(None))):
+            raise ValueError(
+                f"bad config value: 'out' takes a path or null, got {payload['out']!r}"
+            )
         try:
             return cls(**payload)
         except TypeError as exc:
@@ -408,8 +421,7 @@ def run_example(
     bm = factorial_moment(f, s + 1, "minus") + factorial_moment(g, s + 1, "minus")
     prelude[f"beta{s + 1}"] = bp + bm
     prelude["u"] = smoothness_u(f, g)
-    nu1 = prelude["nu1.f"]
-    nu2 = prelude["nu2.f"]
+    nu1, nu2 = (factorial_moment(f, k, "plus") for k in (1, 2))
     prelude["overlap_criterion"] = nu1 - nu2 - nu1**2
 
     def row(n: int) -> tuple[Headline, BoundReport]:

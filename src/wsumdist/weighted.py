@@ -8,8 +8,8 @@ identity to float rounding.  A measure is only its factors: real values
 are formed only by the Kolmogorov distance, once, on the union of both
 laws' lattice points, one slab of value at a time, so its memory does not
 grow with that union; it raises ResourceLimitError past SUPPORT_LIMIT
-points.  Real values within a tolerance proportional to the largest value
-in play are one location.
+points.  Real values closer than the rounding error their float sums can
+carry are one location; values further apart are distinct, however close.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "WeightedMeasure",
     "ResourceLimitError",
     "SUPPORT_LIMIT",
-    "MERGE_TOL_SCALE",
     "lift",
     "wconvolve",
     "weighted_sum_distribution",
@@ -49,10 +48,6 @@ SUPPORT_LIMIT = 10**7
 # Points per slab, on average, when the distance walks its box in slabs of
 # value; the slabs' arrays are the only ones that grow with the box.
 _BLOCK = 2**14
-
-# Two support points share a CDF location iff their real values differ by at
-# most MERGE_TOL_SCALE * (1 + max |value|).
-MERGE_TOL_SCALE = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
@@ -194,10 +189,12 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     of the two factors' supports where they carry nonzero mass.  Each
     point's real value ``sum_i k_i w_i`` is built once and sorted once for
     both sides; points where both laws' product masses are exactly 0.0
-    are dropped.  Values that differ by at most
-    MERGE_TOL_SCALE * (1 + max |value|) are one CDF location (clustered by
-    consecutive gaps), and the two CDFs are compared at each cluster's
-    last point.
+    are dropped.  Values that differ by at most 4 N eps M, for N weights
+    and M = sum_i max |k_i| w_i over the box, are one CDF location
+    (clustered by consecutive gaps): twice the rounding error between two
+    float sums of one exact value (0.1 read as 1/10), so such ties merge
+    and any wider gap is real.  The two CDFs are compared at each
+    cluster's last point.
 
     The work is linear in the product over weights of the union sizes,
     which exceeds both operands' atom counts when the laws spread over
@@ -248,13 +245,26 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     rank = np.argsort(row_v, kind="stable")
     row_low, row_high = row_v[rank] + col_v[0], row_v[rank] + col_v[-1]
 
-    def slab(k: int) -> tuple[np.ndarray, ...]:
-        """Slab k's kept values and both masses, in stable value order.
+    # Every box value is N float products k_i w_i added in weight order, so
+    # with the weights read as doubles (relative error u = eps / 2) it lies
+    # within about (N + 1) u M of its exact sum, M = sum_i max |k_i| w_i
+    # bounding every partial sum.  Two values with equal exact sums differ
+    # by at most (N + 1) eps M <= 2 N eps M; tol doubles that.
+    magnitude = sum(np.abs(union).max() * w for union, w in zip(unions, a.basis.weights))
+    tol = 4 * len(unions) * np.finfo(float).eps * magnitude
 
-        Only rows with a point in the slab take part.  Their runs are
-        gathered row by row in box order, so the stable order within the
-        slab is its part of the whole box's stable order."""
-        lower, upper = bounds[k], bounds[k + 1]
+    # A slab gathers its rows' runs row by row in box order, so its stable
+    # order is its part of the whole box's stable order.  Both sides
+    # accumulate in the same order, so the result is exactly symmetric in
+    # (a, b).  Slot 0 of each cumsum carries the previous slab's total, and
+    # cumsum adds strictly in order, so the slabs give one cumsum's numbers;
+    # -0.0 starts it, as -0.0 + x is x for every x.  A slab's last point is
+    # a cluster end once the next slab's first value lies more than tol
+    # above it, or when no slab follows.
+    total_a = total_b = -0.0
+    last = -np.inf
+    peak = pending = 0.0
+    for lower, upper in zip(bounds[:-1], bounds[1:]):
         rows = np.sort(rank[np.searchsorted(row_high, lower) : np.searchsorted(row_low, upper)])
         rows_v = row_v[rows]
         start = _cut(rows_v, col_v, lower)
@@ -266,37 +276,13 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
         values = np.repeat(rows_v, runs) + col_v[col]
         keep = mass_a != 0.0
         keep |= mass_b != 0.0
+        if not keep.any():
+            continue
         if not keep.all():
             values, mass_a, mass_b = values[keep], mass_a[keep], mass_b[keep]
         order = np.argsort(values, kind="stable")
-        return values[order], mass_a[order], mass_b[order]
-
-    # The largest kept value lies in the highest slab that keeps a point;
-    # the walk reuses that slab and stops there.
-    for top in range(slabs - 1, -1, -1):
-        top_slab = slab(top)
-        if top_slab[0].size:
-            break
-    else:
-        return 0.0
-    high = top_slab[0][-1]
-
-    # Both sides accumulate in the same order, so the result is exactly
-    # symmetric in (a, b).  Slot 0 of each cumsum carries the previous
-    # slab's total, and cumsum adds strictly in order, so the slabs give
-    # one cumsum's numbers; -0.0 starts it, as -0.0 + x is x for every x.
-    # A slab's last point is a cluster end once the next slab's first
-    # value lies more than tol above it, or when no slab follows.
-    total_a = total_b = -0.0
-    tol = last = pending = None
-    peak = 0.0
-    for k in range(top + 1):
-        values, mass_a, mass_b = top_slab if k == top else slab(k)
-        if values.size == 0:
-            continue
-        if tol is None:
-            tol = MERGE_TOL_SCALE * (1.0 + max(abs(values[0]), abs(high)))
-        elif values[0] - last > tol:
+        values, mass_a, mass_b = values[order], mass_a[order], mass_b[order]
+        if values[0] - last > tol:
             peak = np.maximum(peak, pending)
         cdf_a = np.concatenate(([total_a], mass_a))
         cdf_b = np.concatenate(([total_b], mass_b))

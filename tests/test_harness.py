@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -146,6 +147,25 @@ class TestRunExample:
             "1.9174220919626617e-06",
             "4.757367814411939e-07",
         ]
+
+    @pytest.mark.parametrize(
+        "w2,grid,want",
+        [
+            (1.5 + 1e-7, (256, 1024), ["0.00013494997412877296", "3.22030194318812e-05"]),
+            (2.0 + 1e-7, (256,), ["0.00013987177855323552"]),
+            (4 / 3 + 1e-7, (256,), ["0.0001462611973186978"]),
+            (0.1, (256,), ["0.0019454480802703344"]),
+            (0.3, (256,), ["0.00040906020652220487"]),
+            (0.7, (256,), ["0.00013293241183748306"]),
+        ],
+    )
+    def test_frozen_near_rational_distances(self, w2, grid, want):
+        # 1e-7 off a commensurable weight the values lie 2e-7 and more apart:
+        # distinct points, which a tolerance of 1e-9 (1 + max |v|) merges into
+        # the tied law's distance (1.2150e-4 for 1.5 at n = 256); on decimal
+        # weights the float ties of one exact value stay one location
+        res = run_example(grid, weights=(1.0, w2))
+        assert [repr(d) for d in res.column("distance")] == want
 
     def test_block_split(self):
         res = run_example((16, 64))
@@ -429,6 +449,24 @@ class TestCli:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"out": True}, "'out' takes a path or null, got True"),
+            ({"out": 7}, "'out' takes a path or null, got 7"),
+            ({"n_grid": [16.7, 64]}, "'n_grid' takes integers, got [16.7, 64]"),
+            ({"n_grid": [16, True]}, "'n_grid' takes integers"),
+            ({"seed": 1.5}, "'seed' takes integers, got 1.5"),
+            ({"count": 16.7}, "'count' takes integers, got 16.7"),
+            ({"s": 2.0}, "'s' takes integers, got 2.0"),
+            ({"k0": True}, "'k0' takes integers, got True"),
+            ({"s": "3"}, "'s' takes integers, got '3'"),
+        ],
+    )
+    def test_config_values_type_checked(self, payload, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
+
     def test_config_null_out_allowed(self):
         cfg = ExperimentConfig.from_json_dict({"kind": "markov-sweep", "out": None})
         assert cfg.out is None
@@ -441,6 +479,9 @@ class TestCli:
             ("{not json", "wsumdist: error:"),
             ('{"weights": [1.0, 2.0]}', "one (p, q_bar) chain per weight"),
             ('{"kind": "nb-sweep"}', "does not match command 'markov'"),
+            ('{"out": true}', "'out' takes a path or null, got True"),
+            ('{"out": 7}', "'out' takes a path or null, got 7"),
+            ('{"n_grid": [50.5, 100]}', "'n_grid' takes integers"),
         ],
     )
     def test_bad_config_exits_1(self, tmp_path, text, message):
@@ -452,6 +493,17 @@ class TestCli:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_example_order_one(self, tmp_path):
+        # s = 1 records only first moments in the prelude; the overlap
+        # criterion reads nu2 on its own
+        cfg = tmp_path / "s1.json"
+        cfg.write_text('{"s": 1, "n_grid": [16, 64]}')
+        proc = _cli("example", "--config", str(cfg), "--json")
+        assert proc.returncode == 0, proc.stderr
+        prelude = json.loads(proc.stdout)["result"]["prelude"]
+        assert sorted(prelude) == ["beta2", "nu1.f", "nu1.g", "overlap_criterion", "u"]
+        assert prelude["overlap_criterion"] == -1.5
 
     def test_zero_factor_exits_1(self, tmp_path):
         cfg = tmp_path / "s7.json"

@@ -3,11 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsumdist import weighted
@@ -24,7 +25,6 @@ from wsumdist.lattice import (
     tv_norm,
 )
 from wsumdist.weighted import (
-    MERGE_TOL_SCALE,
     SUPPORT_LIMIT,
     ResourceLimitError,
     WeightBasis,
@@ -47,16 +47,20 @@ N4_DISTANCE = 0.05078889624023434
 
 
 def _enumeration_distance(f, g, sizes, weights):
-    """CDF distance via brute-force outcome enumeration, no library calls."""
+    """CDF distance via brute-force outcome enumeration, no library calls.
+
+    Outcomes are keyed by their exact value: ``weights`` are the exact
+    numbers the float weights stand for (Fraction(1, 10) for 0.1), so
+    outcomes share a location only when their exact sums are equal."""
     per_block_f = [power(f, n).as_dict() for n in sizes]
     per_block_g = [power(g, n).as_dict() for n in sizes]
 
     def atoms(block_maps):
         out = {}
         for combo in itertools.product(*(m.items() for m in block_maps)):
-            value = sum(w * k for w, (k, _) in zip(weights, combo))
+            value = sum(Fraction(w) * k for w, (k, _) in zip(weights, combo))
             mass = math.prod(m for _, m in combo)
-            out[round(value, 9)] = out.get(round(value, 9), 0.0) + mass
+            out[value] = out.get(value, 0.0) + mass
         return out
 
     fa, ga = atoms(per_block_f), atoms(per_block_g)
@@ -66,17 +70,28 @@ def _enumeration_distance(f, g, sizes, weights):
     return float(np.max(np.abs(cdf_f - cdf_g)))
 
 
+# A weight 1e-9 off a commensurable one: its values lie 1e-9 and more apart
+# where (1, 1.5) ties them.
+NEAR_3_2 = Fraction(1.5 + 1e-9)
+
 # Bases for the random-law properties: one to three weights, with repeated
 # and commensurable ones whose value grids collapse onto shared points.
+# Each weight is the exact number the float weight stands for: decimal and
+# third weights tie only in exact arithmetic, as their float sums round
+# apart, and the float value itself for irrational and near-rational ones.
 PROPERTY_BASES = (
-    (1.0,),
-    (SQRT2,),
-    (1.0, 2.0),
-    (1.0, SQRT2),
-    (SQRT2, SQRT2),
-    (1.0, SQRT2, SQRT3),
-    (1.0, 2.0, 3.0),
-    (SQRT2, 1.0, SQRT2),
+    (1,),
+    (Fraction(SQRT2),),
+    (1, 2),
+    (1, Fraction(SQRT2)),
+    (Fraction(SQRT2), Fraction(SQRT2)),
+    (1, Fraction(SQRT2), Fraction(SQRT3)),
+    (1, 2, 3),
+    (Fraction(SQRT2), 1, Fraction(SQRT2)),
+    (1, Fraction(1, 10)),
+    (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)),
+    (1, Fraction(1, 3)),
+    (1, NEAR_3_2),
 )
 
 
@@ -110,6 +125,26 @@ def _atoms(m):
     return values[keep], masses[keep]
 
 
+def _unions(a, b):
+    """Per weight, the union of both laws' supports where they carry
+    nonzero mass: the distance's box is their product."""
+    return [
+        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0])
+        for f, g in zip(a.factors, b.factors)
+    ]
+
+
+def _merge_tol(a, b):
+    """The distance's merge tolerance, 4 N eps M with
+    M = sum_i max |k_i| w_i over the box: twice the rounding error between
+    two values with equal exact sums."""
+    unions = _unions(a, b)
+    magnitude = sum(
+        np.abs(union).max() * w for union, w in zip(unions, a.basis.weights)
+    )
+    return 4 * len(unions) * np.finfo(float).eps * magnitude
+
+
 def _clustered_distance(a, b):
     """Kolmogorov distance over both measures' own atoms: concatenate them,
     argsort, cluster by consecutive gaps, and sum each side per cluster."""
@@ -123,7 +158,7 @@ def _clustered_distance(a, b):
     )
     order = np.argsort(values, kind="stable")
     values, masses, from_a = values[order], masses[order], from_a[order]
-    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    tol = _merge_tol(a, b)
     cluster_id = np.concatenate([[0], np.cumsum(values[1:] - values[:-1] > tol)])
     clusters = int(cluster_id[-1]) + 1
     cdf_a = np.cumsum(
@@ -137,12 +172,9 @@ def _clustered_distance(a, b):
 
 def _out_of_place_distance(a, b):
     """The distance body before it reused buffers, with the box-sized real
-    points it once built, verbatim: every step allocates its own box-sized
-    array."""
-    unions = [
-        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0])
-        for f, g in zip(a.factors, b.factors)
-    ]
+    points it once built, verbatim but for the merge tolerance, which it
+    reads from _merge_tol: every step allocates its own box-sized array."""
+    unions = _unions(a, b)
     count = math.prod(union.size for union in unions)
     if count > SUPPORT_LIMIT:
         raise ResourceLimitError(
@@ -166,7 +198,7 @@ def _out_of_place_distance(a, b):
         return 0.0
     order = np.argsort(values, kind="stable")
     values = values[order]
-    tol = MERGE_TOL_SCALE * (1.0 + float(np.max(np.abs(values))))
+    tol = _merge_tol(a, b)
     ends = np.flatnonzero(np.append(np.diff(values) > tol, True))
     cdf_a = np.cumsum(mass_a[order])[ends]
     cdf_b = np.cumsum(mass_b[order])[ends]
@@ -176,10 +208,7 @@ def _out_of_place_distance(a, b):
 def _box_size(a, b):
     """Lattice points in the distance's box: the product of the per-weight
     unions of both laws' supports where they carry nonzero mass."""
-    return math.prod(
-        _sorted_union(f.support[f.masses != 0.0], g.support[g.masses != 0.0]).size
-        for f, g in zip(a.factors, b.factors)
-    )
+    return math.prod(union.size for union in _unions(a, b))
 
 
 # Bases whose weight ratios are pairwise irrational: on small supports no two
@@ -352,8 +381,12 @@ class TestWKolmogorov:
         assert ab <= ac + cb + 1e-12
 
     @given(weighted_pairs())
+    @example((from_entries({0: 0.45, 1: 0.35, 4: 0.2}), delta(1), (1, NEAR_3_2), (1, 2)))
     @settings(max_examples=60, deadline=None)
     def test_matches_enumeration_oracle(self, case):
+        # the example's points 4 and 1 + 2 (1.5 + 1e-9) lie 2e-9 apart, where
+        # a tolerance that grows with the values, such as 1e-9 (1 + max |v|),
+        # merges them
         f, g, weights, sizes = case
         got = wkolmogorov_distance(
             _block_sums(f, sizes, weights), _block_sums(g, sizes, weights)
@@ -445,20 +478,35 @@ class TestUnionRoute:
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
     def test_most_negative_value_sets_tolerance(self):
-        # |-10**6| sets tol near 1e-3, which merges a's 0 with b's 5e-4
+        # |-10**6| sets tol near 1.8e-9, far below 5e-4: a's 0 and b's 5e-4
+        # stay distinct, so a's CDF reaches 1 before b's rises from 0
         basis = WeightBasis((1.0, 5e-4))
         a = WeightedMeasure(basis, (from_entries({-(10**6): 0.5, 0: 0.5}), delta(0)))
         b = WeightedMeasure(basis, (delta(0), delta(1)))
-        assert wkolmogorov_distance(a, b) == 0.5
+        assert wkolmogorov_distance(a, b) == 1.0
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+        # on (0.1, 0.3), (-10**6 + 3) * 0.1 and -10**6 * 0.1 + 0.3 round
+        # 1.5e-11 apart, within the tol near 1.8e-10 that |-10**6| sets
+        basis = WeightBasis((0.1, 0.3))
+        a = WeightedMeasure(basis, (delta(-(10**6) + 3), delta(0)))
+        b = WeightedMeasure(basis, (delta(-(10**6)), delta(1)))
+        assert wkolmogorov_distance(a, b) == 0.0
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
     def test_largest_value_sets_tolerance(self):
-        # 10**6 sets tol near 1e-3, which merges a's 5e-4 with b's 0 and
-        # a's 10**6 + 5e-4 with b's 10**6
+        # 10**6 sets tol near 1.8e-9, so a's 5e-4 and b's 0 stay distinct,
+        # and a's 10**6 + 5e-4 and b's 10**6 too
         basis = WeightBasis((1.0, 5e-4))
         laws = from_entries({0: 0.5, 10**6: 0.5})
         a = WeightedMeasure(basis, (laws, delta(1)))
         b = WeightedMeasure(basis, (laws, delta(0)))
+        assert wkolmogorov_distance(a, b) == 0.5
+        assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
+        # on (0.1, 0.3), (10**6 + 5) * 0.1 and (10**6 + 2) * 0.1 + 0.3
+        # round 1.5e-11 apart, within the tol near 1.8e-10 that 10**6 sets
+        basis = WeightBasis((0.1, 0.3))
+        a = WeightedMeasure(basis, (delta(10**6 + 5), delta(0)))
+        b = WeightedMeasure(basis, (delta(10**6 + 2), delta(1)))
         assert wkolmogorov_distance(a, b) == 0.0
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
@@ -495,8 +543,9 @@ class TestUnionRoute:
         )
 
     def test_underflowed_products_are_dropped(self):
-        # every product of a underflows to 0.0; its far point must not widen
-        # the merge tolerance enough to fuse b's atoms
+        # every product of a underflows to 0.0, so its points are dropped;
+        # its far point 10**9 still sets the merge tolerance, near 1e-6,
+        # which must stay below the gaps between b's atoms
         tiny = LatticeMeasure(np.array([0, 10**9]), np.array([1e-170, 1e-170]))
         a = WeightedMeasure(BASIS, (tiny, from_entries({0: 1e-170})))
         b = wconvolve(lift(F - G, 1, BASIS), lift(G, 2, BASIS))
@@ -589,8 +638,7 @@ SEAM_CASES = {
     ),
     # box 4 x 3: both laws' products underflow on rows 2 and 3 by columns 1
     # and 2, which hold the box's largest values, so the top slabs keep no
-    # point under blocks of 1, 2 and 3 and the search for the largest kept
-    # value walks down past them
+    # point under blocks of 1, 2 and 3 and the walk ends on empty slabs
     "underflowed-top": (
         _measure(
             (1.0, SQRT2),
@@ -614,13 +662,13 @@ SEAM_CASES = {
         _measure((1.0, 2.0), ([0, 2, 4, 6], [0.25, 0.25, 0.25, 0.25]), ([0, 1, 3], [0.5, 0.25, 0.25])),
         _measure((1.0, 2.0), ([0, 4, 6], [0.5, 0.25, 0.25]), ([0, 1, 3], [0.25, 0.5, 0.25])),
     ),
-    # box 3 x 2 on weights (1, 5e-4): |2**20| sets tol near 1.05e-3, so each
-    # of a's points merges with b's point 5e-4 above it, and the distance
-    # is 0.0; under blocks of 1 and 3 the middle slab bound lies between
-    # -5e-4 and 0, so that merge spans a seam
+    # box 3 x 2 on weights (0.1, 0.3): 3 * 0.1 rounds to 0.30000000000000004
+    # and 1 * 0.3 to 0.3, a float tie of one exact value that the tolerance
+    # merges; under blocks of 1 and 3 a slab bound lies between the two, so
+    # that merge spans a seam
     "merge-across-seam": (
-        _measure((1.0, 5e-4), ([-(2**20), 0, 2**20], [0.25, 0.5, 0.25]), ([-1], [1.0])),
-        _measure((1.0, 5e-4), ([-(2**20), 0, 2**20], [0.25, 0.5, 0.25]), ([0], [1.0])),
+        _measure((0.1, 0.3), ([0, 1, 3], [0.5, 0.25, 0.25]), ([0], [1.0])),
+        _measure((0.1, 0.3), ([0, 1], [1.0, 0.5]), ([0, 1], [0.5, 0.25])),
     ),
     # one weight: a single row of 7 columns, a stored zero included
     "one-weight": (
@@ -655,7 +703,8 @@ class TestBlockSeams:
         if case == "one-weight":
             assert _box_size(a, b) == 7
         if case == "merge-across-seam":
-            assert got == 0.0
+            # kept apart, 0.3 and 3 * 0.1 would give 0.25
+            assert got == 0.125
 
     @given(
         row_v=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
