@@ -211,8 +211,9 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name!r} must be a list")
         if not all(isinstance(pair, (list, tuple)) for pair in payload.get("chains", ())):
             raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
-        # __post_init__'s int() would truncate 16.7 and read true as 1, and
-        # open() would take a number as out for a file descriptor.
+        # __post_init__'s int() would truncate 16.7 and read true as 1, its
+        # float() would read true as 1.0 and "0.5" as 0.5, and open() would
+        # take a number as out for a file descriptor.
         for name in ("n_grid", "s", "k0", "seed", "count"):
             if name in payload:
                 items = payload[name] if name == "n_grid" else [payload[name]]
@@ -220,6 +221,16 @@ class ExperimentConfig:
                     raise ValueError(
                         f"bad config value: {name!r} takes integers, got {payload[name]!r}"
                     )
+        numbers = {
+            "weights": payload.get("weights", ()),
+            "chains": [v for pair in payload.get("chains", ()) for v in pair],
+            "tail_tol": [payload["tail_tol"]] if "tail_tol" in payload else (),
+        }
+        for name, items in numbers.items():
+            if any(type(v) not in (int, float) for v in items):
+                raise ValueError(
+                    f"bad config value: {name!r} takes numbers, got {payload[name]!r}"
+                )
         if not isinstance(payload.get("out"), (str, type(None))):
             raise ValueError(
                 f"bad config value: 'out' takes a path or null, got {payload['out']!r}"

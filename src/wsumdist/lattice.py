@@ -57,8 +57,8 @@ class LatticeMeasure:
     ``support`` is strictly increasing and ``masses`` is the same length.
     Masses may be exactly 0.0: measures built through :func:`from_entries`
     or a convolution-type operation store none (their trim drops zeros),
-    but the Markov-Binomial laws keep the full support 0..n, including the
-    tail that underflows to 0.0, and simulated laws keep empty bins.
+    but the Markov-Binomial laws keep every entry of their DP band, down to
+    eps^2, and simulated laws keep empty bins.
     Instances are immutable; build them with :func:`delta` or
     :func:`from_entries` rather than by hand.  The constructor copies its
     input and raises ``ValueError`` on non-integral points and non-finite

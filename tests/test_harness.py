@@ -461,11 +461,21 @@ class TestCli:
             ({"s": 2.0}, "'s' takes integers, got 2.0"),
             ({"k0": True}, "'k0' takes integers, got True"),
             ({"s": "3"}, "'s' takes integers, got '3'"),
+            ({"weights": ["1.5"]}, "'weights' takes numbers, got ['1.5']"),
+            ({"chains": [[0.3, 0.02], [0, True]]}, "'chains' takes numbers"),
+            ({"tail_tol": "1e-10"}, "'tail_tol' takes numbers, got '1e-10'"),
         ],
     )
     def test_config_values_type_checked(self, payload, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
+
+    def test_config_integral_numbers_allowed(self):
+        cfg = ExperimentConfig.from_json_dict(
+            {"kind": "markov-sweep", "weights": [1, 2.5], "chains": [[0, 1], [0.3, 0.02]]}
+        )
+        assert cfg.weights == (1.0, 2.5)
+        assert cfg.chains == ((0.0, 1.0), (0.3, 0.02))
 
     def test_config_null_out_allowed(self):
         cfg = ExperimentConfig.from_json_dict({"kind": "markov-sweep", "out": None})
@@ -482,6 +492,10 @@ class TestCli:
             ('{"out": true}', "'out' takes a path or null, got True"),
             ('{"out": 7}', "'out' takes a path or null, got 7"),
             ('{"n_grid": [50.5, 100]}', "'n_grid' takes integers"),
+            ('{"weights": [true, 1.5]}', "'weights' takes numbers, got [True, 1.5]"),
+            ('{"chains": [[false, true]]}', "'chains' takes numbers, got [[False, True]]"),
+            ('{"chains": [[0.3, "0.02"]]}', "'chains' takes numbers"),
+            ('{"tail_tol": true}', "'tail_tol' takes numbers, got True"),
         ],
     )
     def test_bad_config_exits_1(self, tmp_path, text, message):

@@ -408,13 +408,18 @@ class TestSortFreeAlgebra:
         _assert_same_bits(-a, _reference_mul(-1.0, a))
 
     def test_mb_pmf_minus_din(self):
-        # The chain's law stores its underflowed tail as 0.0 and keeps masses
-        # far below TRIM_RELATIVE * tv; a - b trims -b against b's own tv
-        # before the sum, which a direct subtraction would not.
+        # The chain's law, laid on 0..n with its trimmed tails stored as 0.0,
+        # keeps masses far below TRIM_RELATIVE * tv; a - b trims -b against
+        # b's own tv before the sum, which a direct subtraction would not.
         params = MBParams(0.3, 0.02, 2000)
-        chain = mb_pmf(params)
+        band = mb_pmf(params)
+        masses = np.zeros(params.n + 1)
+        masses[band.support] = band.masses
+        chain = LatticeMeasure(np.arange(params.n + 1), masses, band.error_budget)
         _, din = build_din(params)
         assert (chain.masses == 0.0).any()
+        tiny = (0.0 < chain.masses) & (chain.masses < TRIM_RELATIVE * chain.tv)
+        assert tiny.any()
         _assert_same_bits(chain - din, _reference_sub(chain, din))
         _assert_same_bits(din - chain, _reference_sub(din, chain))
 

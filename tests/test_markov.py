@@ -114,12 +114,29 @@ def _dense_dp(p: float, q_bar: float, n: int) -> np.ndarray:
     return f0 + f1
 
 
-def _assert_matches_dense(p, q_bar, horizons):
+EPS = np.finfo(np.float64).eps
+
+
+def _assert_within_budget(p, q_bar, horizons):
+    # Each law is stored on its band [lo, top] only; zero-extended to 0..n
+    # it lies within its error_budget (the mass the trim dropped) of the
+    # table in L1, plus the rounding of the entries the drops fed, which
+    # both runs round once a step.  Masses of 1e-12 and more keep the
+    # table's bits.
     laws = mb_pmfs(p, q_bar, horizons)
     assert len(laws) == len(horizons)
     for n, law in zip(horizons, laws):
-        assert law.support.tolist() == list(range(n + 1))
-        assert law.masses.tobytes() == _dense_dp(p, q_bar, n).tobytes()
+        table = _dense_dp(p, q_bar, n)
+        lo, top = int(law.support[0]), int(law.support[-1])
+        assert law.support.tolist() == list(range(lo, top + 1))
+        assert 0 <= lo <= top <= n
+        full = np.zeros(n + 1)
+        full[lo : top + 1] = law.masses
+        moved = full != table
+        allowance = 2 * n * EPS * np.maximum(full, table)[moved].sum()
+        assert np.abs(full - table).sum() <= law.error_budget + allowance
+        big = law.masses >= 1e-12
+        assert law.masses[big].tobytes() == table[lo : top + 1][big].tobytes()
 
 
 class TestMbPmfs:
@@ -129,19 +146,49 @@ class TestMbPmfs:
         st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4, unique=True),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_dense_table(self, p, q_bar, horizons):
-        _assert_matches_dense(p, q_bar, tuple(sorted(horizons)))
+    def test_within_budget_of_dense_table(self, p, q_bar, horizons):
+        _assert_within_budget(p, q_bar, tuple(sorted(horizons)))
+
+    @given(
+        st.floats(min_value=0.0, max_value=0.999),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_budget_below_n_floors(self, p, q_bar, n):
+        # At most one entry per edge per step is dropped, each below eps^2,
+        # and lo <= top, so n steps drop at most n * eps^2.
+        law = mb_pmf(MBParams(p=p, q_bar=q_bar, n=n))
+        assert 0.0 <= law.error_budget <= n * EPS**2
+        assert 0 <= law.support[0] <= law.support[-1] <= n
+        assert len(law) == law.support[-1] - law.support[0] + 1
+
+    def test_untrimmed_law_is_dense_table(self):
+        # At n = 50 no edge entry of (0.3, 0.02) falls below eps^2.
+        law = mb_pmf(MBParams(p=0.3, q_bar=0.02, n=50))
+        assert law.support.tolist() == list(range(51))
+        assert law.masses.tobytes() == _dense_dp(0.3, 0.02, 50).tobytes()
+        assert law.error_budget == 0.0
 
     # (0, 1) alternates deterministically; (0.99, 0.001) is sticky; at
-    # (0.3, 0.02) the upper tail underflows and the band stops growing.
+    # (0.3, 0.02) both tails fall below the floor and the band is trimmed.
     @pytest.mark.parametrize("p,q_bar", [(0.0, 1.0), (0.99, 0.001), (0.3, 0.02)])
-    def test_edge_chains_bit_identical(self, p, q_bar):
-        _assert_matches_dense(p, q_bar, (1, 7, 1999, 2000))
+    def test_edge_chains_within_budget(self, p, q_bar):
+        _assert_within_budget(p, q_bar, (1, 7, 1999, 2000))
 
-    def test_underflowed_tail_is_stored(self):
-        law = mb_pmfs(0.3, 0.02, (2000,))[0]
-        assert len(law) == 2001
-        assert law.masses[-1] == 0.0
+    def test_alternating_chain_is_point_mass(self):
+        # (0, 1) switches at every step: X = 1, 0, 1, ... counts 4 of 7.
+        law = mb_pmf(MBParams(p=0.0, q_bar=1.0, n=7))
+        assert law.support.tolist() == [4]
+        assert law.masses.tolist() == [1.0]
+        assert law.error_budget == 0.0
+
+    def test_band_at_ten_thousand(self):
+        # The table holds 10001 masses here, 8355 of them 0.0; the band keeps
+        # 498 and drops 2.9e-28 from both tails.
+        law = mb_pmf(MBParams(p=0.3, q_bar=0.02, n=10**4))
+        assert (int(law.support[0]), int(law.support[-1]), len(law)) == (75, 572, 498)
+        assert law.error_budget == 2.908984497113827e-28
 
     @pytest.mark.parametrize("n", [1, 2, 50, 333])
     def test_mb_pmf_is_one_horizon_call(self, n):
