@@ -11,7 +11,11 @@ inspection and CSV output.
 Block model: S = sum_i w_i * (X_i1 + ... + X_in_i) against the analogous
 Z built from G-distributed summands, with everything independent.  A
 BlockSpec holds one i: its distinct summand pairs (F_j, G_j), how many
-summands each pair stands for, and the weight.
+summands each pair stands for, and the weight.  A bound call tabulates
+each distinct pair once (the smaller shift overlap u, the larger variance,
+both laws' factorial moments of orders 1..s+2 on both tails), and every
+term and hypothesis check reads that table.  It lives for the call only:
+measures hash by identity, so a longer-lived cache would keep them alive.
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .lattice import (
     LatticeMeasure,
+    _factorial_moments,
     _step_power,
     convolve,
     delta,
-    factorial_moment,
     moments,
     smoothness_u,
     tv_norm,
@@ -176,80 +179,85 @@ def _weight_ratio(weights: list[float]) -> float:
     return max(weights) / min(weights)
 
 
-def _beta(f: LatticeMeasure, g: LatticeMeasure, k: int) -> tuple[float, float]:
-    plus = factorial_moment(f, k, "plus") + factorial_moment(g, k, "plus")
-    minus = factorial_moment(f, k, "minus") + factorial_moment(g, k, "minus")
-    return plus, minus
+class _Pair(NamedTuple):
+    """One pair (F, G) as the bounds read it: ``plus`` is F's and G's
+    right-tail factorial moments, each a list indexed by k - 1, ``minus``
+    their left tails.  u and variance, NaN unless passed to ``of`` after the
+    order, are the smaller shift overlap and the larger variance."""
 
+    plus: tuple[list[float], list[float]]
+    minus: tuple[list[float], list[float]]
+    u: float = math.nan
+    variance: float = math.nan
 
-def _factorial_moments(f: LatticeMeasure, s: int, side: str) -> list[float]:
-    """``factorial_moment(f, k, side)`` for k = 1..s, bit for bit, from one
-    running falling-factorial product; each order selects ``pts >= k``, so
-    its dot product sees the same arrays as a call of its own."""
-    support = f.support if side == "plus" else -f.support
-    sel = support >= 1
-    pts = support[sel].astype(np.float64)
-    masses = f.masses[sel]
-    weights = np.ones_like(pts)
-    out = []
-    for k in range(1, s + 1):
-        weights *= pts - (k - 1)
-        keep = pts >= k
-        out.append(float(weights[keep] @ masses[keep]))
-    return out
+    @classmethod
+    def of(cls, f: LatticeMeasure, g: LatticeMeasure, order: int, *rest) -> "_Pair":
+        def tail(side: str) -> tuple[list[float], list[float]]:
+            return tuple(_factorial_moments(m, order, side) for m in (f, g))
 
+        return cls(tail("plus"), tail("minus"), *rest)
 
-def _moment_gaps(f: LatticeMeasure, g: LatticeMeasure, s: int):
-    """(k, side, |gap|) of the order-k factorial moments of f and g, for
-    k = 1..s and each tail, in that order."""
-    tails = {
-        side: (_factorial_moments(f, s, side), _factorial_moments(g, s, side))
-        for side in ("plus", "minus")
-    }
-    for k in range(1, s + 1):
-        for side in ("plus", "minus"):
-            of_f, of_g = tails[side]
-            yield k, side, abs(of_f[k - 1] - of_g[k - 1])
+    def beta(self, k: int) -> tuple[float, float]:
+        """(beta+_k, beta-_k): the order-k moments of F and G, per tail."""
+        return tuple(f[k - 1] + g[k - 1] for f, g in (self.plus, self.minus))
+
+    def mismatch(self, s: int) -> str:
+        """What first breaks the matching through order s, k = 1..s and plus
+        before minus: a gap above MOMENT_MATCH_TOL; "" when there is none."""
+        for k in range(1, s + 1):
+            for side, (of_f, of_g) in (("plus", self.plus), ("minus", self.minus)):
+                gap = abs(of_f[k - 1] - of_g[k - 1])
+                if gap > MOMENT_MATCH_TOL:
+                    return f"order-{k} {side} factorial moments differ by {gap:.3e}"
+        return ""
 
 
 def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
     """Verify the bound hypotheses: smoothness, enough total overlap per
     block, factorial moments matched through order s, finite order-(s+1)
     moment sums.  Violations become warnings, never hard failures."""
+    s, _, warnings = _checked(blocks, s)
+    return AssumptionReport(ok=not warnings, s=s, warnings=warnings)
+
+
+def _checked(blocks: list[BlockSpec], s) -> tuple[int, dict, tuple[str, ...]]:
+    """s as an int, each distinct pair's summary, and the hypotheses' warnings."""
     s = int(s)
     if s < 1:
         raise ValueError("s must be >= 1")
     if not blocks:
         raise ValueError("need at least one block")
+    table = {}
+    for f, g in dict.fromkeys(pair for block in blocks for pair in block.pairs):
+        variance = max(moments(f).variance, moments(g).variance)
+        table[f, g] = _Pair.of(f, g, s + 2, smoothness_u(f, g), variance)
     warnings: list[str] = []
     for i, block in enumerate(blocks):
-        if min(smoothness_u(f, g) for f, g in block.pairs) <= 0.0:
+        summaries = [table[pair] for pair in block.pairs]
+        if min(p.u for p in summaries) <= 0.0:
             warnings.append(f"block {i}: some summand has zero shift overlap u")
-        if block.total(smoothness_u) < 1.0:
+        if block.total(lambda f, g: table[f, g].u) < 1.0:
             warnings.append(f"block {i}: total shift overlap below 1")
-        gaps = (gap for f, g in block.pairs for _, _, gap in _moment_gaps(f, g, s))
-        if any(gap > MOMENT_MATCH_TOL for gap in gaps):
+        if any(p.mismatch(s) for p in summaries):
             warnings.append(
                 f"block {i}: factorial moments not matched through order {s}"
             )
-        if not all(math.isfinite(sum(_beta(f, g, s + 1))) for f, g in block.pairs):
+        if not all(math.isfinite(sum(p.beta(s + 1))) for p in summaries):
             warnings.append(f"block {i}: order-{s + 1} moment sum not finite")
-    return AssumptionReport(ok=not warnings, s=s, warnings=tuple(warnings))
+    return s, table, tuple(warnings)
 
 
-def _independent_prefactor(
-    blocks: list[BlockSpec], components: dict[str, float]
-) -> None:
-    components["factor.weight_ratio"] = _weight_ratio([b.weight for b in blocks])
+def _independent_prefactor(blocks: list[BlockSpec], s: int) -> tuple:
+    """_checked's result and the components both independent bounds share."""
+    s, table, warnings = _checked(blocks, s)
+    components = {"factor.weight_ratio": _weight_ratio([b.weight for b in blocks])}
     u_total = 0.0
     variance_product = 1.0
     for i, block in enumerate(blocks):
-        u_sum = block.total(smoothness_u)
+        u_sum = block.total(lambda f, g: table[f, g].u)
         if u_sum <= 0.0:
             raise ValueError(f"block {i}: zero shift overlap u in every summand")
-        sigma2_sum = block.total(
-            lambda f, g: max(moments(f).variance, moments(g).variance)
-        )
+        sigma2_sum = block.total(lambda f, g: table[f, g].variance)
         u_total += u_sum
         variance_product *= 1.0 + sigma2_sum / u_sum
         components[f"block{i}.u_sum"] = u_sum
@@ -257,6 +265,7 @@ def _independent_prefactor(
     components["factor.total_u_inv_sqrt"] = u_total**-0.5
     components["factor.variance_product"] = variance_product
     components["u_total"] = u_total
+    return s, table, warnings, components
 
 
 def bound_independent(blocks: list[BlockSpec], s: int) -> BoundReport:
@@ -266,46 +275,41 @@ def bound_independent(blocks: list[BlockSpec], s: int) -> BoundReport:
     (max w/min w) (Sum u)^(-1/2) Prod_l(1 + Sum sigma^2/Sum u)
     x Sum_i Sum_j beta_{s+1}(F_ij, G_ij) (Sum_k u_ik)^(-s/2).
     """
-    report = check_assumptions(blocks, s)
-    components: dict[str, float] = {}
-    _independent_prefactor(blocks, components)
+    s, table, warnings, components = _independent_prefactor(blocks, s)
     beta_term = 0.0
     for i, block in enumerate(blocks):
         u_sum = components[f"block{i}.u_sum"]
-        block_beta = block.total(lambda f, g: sum(_beta(f, g, s + 1)))
+        block_beta = block.total(lambda f, g: sum(table[f, g].beta(s + 1)))
         beta_term += block_beta * u_sum ** (-s / 2.0)
         components[f"block{i}.beta{s + 1}"] = block_beta
     components["factor.beta_term"] = beta_term
-    return _finish(components, report.warnings)
+    return _finish(components, warnings)
 
 
 def bound_independent_sym(blocks: list[BlockSpec], s: int) -> BoundReport:
     """Even-s refinement of bound_independent: the order-(s+1) term enters
     through |beta+ - beta-| and the symmetric part is pushed to order s+2
     with an extra (Sum u)^(-1/2) damping."""
-    s = int(s)
-    if s % 2 != 0:
+    if int(s) % 2 != 0:
         raise OddSError("the symmetric refinement needs even s")
-    report = check_assumptions(blocks, s)
-    components: dict[str, float] = {}
-    _independent_prefactor(blocks, components)
+    s, table, warnings, components = _independent_prefactor(blocks, s)
 
     def skew_of(f, g):
-        bp, bm = _beta(f, g, s + 1)
+        bp, bm = table[f, g].beta(s + 1)
         return abs(bp - bm)
 
     sym_term = 0.0
     for i, block in enumerate(blocks):
         u_sum = components[f"block{i}.u_sum"]
         skew = block.total(skew_of)
-        correction = block.total(lambda f, g: sum(_beta(f, g, s + 2))) + block.total(
-            lambda f, g: _beta(f, g, s + 1)[1]
-        )
+        correction = block.total(
+            lambda f, g: sum(table[f, g].beta(s + 2))
+        ) + block.total(lambda f, g: table[f, g].beta(s + 1)[1])
         sym_term += u_sum ** (-s / 2.0) * (skew + correction * u_sum**-0.5)
         components[f"block{i}.beta{s + 1}_skew"] = skew
         components[f"block{i}.beta{s + 2}_correction"] = correction
     components["factor.sym_term"] = sym_term
-    return _finish(components, report.warnings)
+    return _finish(components, warnings)
 
 
 def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
@@ -320,12 +324,11 @@ def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
     for i, block in enumerate(blocks):
         if not block.is_iid:
             raise ValueError(f"block {i} is not iid; use bound_independent")
-    report = check_assumptions(blocks, s)
-    ratio = _weight_ratio([b.weight for b in blocks])
-    components: dict[str, float] = {"factor.weight_ratio": ratio}
+    s, table, warnings = _checked(blocks, s)
+    components = {"factor.weight_ratio": _weight_ratio([b.weight for b in blocks])}
     u_total = 0.0
     for i, block in enumerate(blocks):
-        u = smoothness_u(*block.pairs[0])
+        u = table[block.pairs[0]].u
         if u <= 0.0:
             raise ValueError(f"block {i}: zero shift overlap u")
         u_total += block.n * u
@@ -335,12 +338,12 @@ def bound_iid(blocks: list[BlockSpec], s: int) -> BoundReport:
     beta_term = 0.0
     for i, block in enumerate(blocks):
         u = components[f"block{i}.u"]
-        bp, bm = _beta(*block.pairs[0], s + 1)
+        bp, bm = table[block.pairs[0]].beta(s + 1)
         beta_term += (bp + bm) / (block.n ** (s / 2.0 - 1.0) * u ** (s / 2.0))
         components[f"block{i}.beta{s + 1}"] = bp + bm
     components["factor.beta_term"] = beta_term
     components["u_total"] = u_total
-    return _finish(components, report.warnings)
+    return _finish(components, warnings)
 
 
 def _r_log_inv_p_from_moments(nu1: float, nu2: float) -> float:
@@ -399,9 +402,7 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
     components["factor.weighted_u_inv_sqrt"] = total**-0.5
     bracket_term = 0.0
     for i, f in enumerate(laws):
-        nu1 = factorial_moment(f, 1, "plus")
-        nu2 = factorial_moment(f, 2, "plus")
-        nu3 = factorial_moment(f, 3, "plus")
+        nu1, nu2, nu3 = _factorial_moments(f, 3, "plus")
         bracket = nu3 + nu1 * nu2 + nu1**3 + (nu2 - nu1**2) ** 2 / nu1
         bracket_term += bracket / u_tildes[i]
         components[f"block{i}.bracket"] = bracket
@@ -447,12 +448,16 @@ def bound_markov(
     return _finish(components, tuple(warnings))
 
 
-def _require_matched(f: LatticeMeasure, g: LatticeMeasure, s: int) -> None:
-    for k, side, gap in _moment_gaps(f, g, s):
-        if gap > MOMENT_MATCH_TOL:
-            raise MomentMismatchError(
-                f"order-{k} {side} factorial moments differ by {gap:.3e}"
-            )
+def _require_matched(f: LatticeMeasure, g: LatticeMeasure, s) -> tuple[int, _Pair]:
+    """s as an int, and the pair's tails through order s + 2; raises unless
+    s >= 1 and the factorial moments match through order s."""
+    s = int(s)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    pair = _Pair.of(f, g, s + 2)
+    if message := pair.mismatch(s):
+        raise MomentMismatchError(message)
+    return s, pair
 
 
 def lemma_fg_gap(
@@ -466,12 +471,9 @@ def lemma_fg_gap(
     raises if the cap is violated (it cannot be unless inputs lie about
     moment matching beyond tolerance).
     """
-    s = int(s)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    _require_matched(f, g, s)
+    s, pair = _require_matched(f, g, s)
     gap = tv_norm(f - g)
-    bp, bm = _beta(f, g, s + 1)
+    bp, bm = pair.beta(s + 1)
     cap = (bp + bm) * 2.0 ** (s + 1) / math.factorial(s + 1)
     if gap > cap * (1.0 + 1e-12) + 1e-15:
         raise ArithmeticError(
@@ -492,15 +494,12 @@ def lemma_fg_gap_sym(
     envelope (empirically slack by orders of magnitude).  Returns
     (residual_tv, cap).
     """
-    s = int(s)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if s % 2 != 0:
+    if int(s) % 2 != 0:
         raise OddSError("the symmetric refinement needs even s")
-    _require_matched(f, g, s)
-    bp1, bm1 = _beta(f, g, s + 1)
+    s, pair = _require_matched(f, g, s)
+    bp1, bm1 = pair.beta(s + 1)
     leading = ((bp1 - bm1) / math.factorial(s + 1)) * _step_power(1, s + 1)
     residual = (f - g) - leading
-    bp2, bm2 = _beta(f, g, s + 2)
+    bp2, bm2 = pair.beta(s + 2)
     cap = (bp2 + bm2 + bm1) * 2.0 ** (s + 2)
     return tv_norm(residual), cap

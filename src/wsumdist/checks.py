@@ -43,13 +43,13 @@ import numpy as np
 
 from .lattice import (
     LatticeMeasure,
+    _factorial_moments,
     _step_power,
     char_fn,
     concentration,
     convolve,
     delta,
     exp_measure,
-    factorial_moment,
     kolmogorov_norm,
     moments,
     smoothness_u,
@@ -118,36 +118,31 @@ def null_space(a: np.ndarray) -> np.ndarray:
     return vh[rank:].T.conj()
 
 
-def _random_prob(rng: np.random.Generator) -> LatticeMeasure:
+def _random_support(rng: np.random.Generator) -> np.ndarray:
+    """2 to 8 distinct sorted points of [-_MAX_POINT, _MAX_POINT]."""
     size = int(rng.integers(2, 9))
-    support = np.sort(rng.choice(
+    return np.sort(rng.choice(
         np.arange(-_MAX_POINT, _MAX_POINT + 1), size=size, replace=False
-    ))
-    masses = rng.dirichlet(np.ones(size))
-    return LatticeMeasure(support.astype(np.int64), masses)
+    )).astype(np.int64)
+
+
+def _random_prob(rng: np.random.Generator) -> LatticeMeasure:
+    support = _random_support(rng)
+    return LatticeMeasure(support, rng.dirichlet(np.ones(support.size)))
 
 
 def _random_signed(rng: np.random.Generator) -> LatticeMeasure:
-    size = int(rng.integers(2, 9))
-    support = np.sort(rng.choice(
-        np.arange(-_MAX_POINT, _MAX_POINT + 1), size=size, replace=False
-    ))
-    masses = rng.normal(0.0, 1.0, size)
-    return LatticeMeasure(support.astype(np.int64), masses)
+    support = _random_support(rng)
+    return LatticeMeasure(support, rng.normal(0.0, 1.0, support.size))
 
 
 @functools.cache
 def _matched_basis(s: int) -> np.ndarray:
     """Null-space basis of the rows 1, k, k(k-1), ... through order s on
-    the points 0..8: the directions that keep those factorial moments."""
-    points = np.arange(9, dtype=np.float64)
-    rows = [np.ones(9)]
-    for k in range(1, s + 1):
-        row = np.ones(9)
-        for shift in range(k):
-            row = row * (points - shift)
-        rows.append(row)
-    basis = null_space(np.vstack(rows))
+    the points 0..8, i.e. of the point masses' factorial moments: the
+    directions that keep a law's total mass and those moments."""
+    columns = [_factorial_moments(delta(j), s, "plus") for j in range(9)]
+    basis = null_space(np.vstack([np.ones(9), np.array(columns).T]))
     basis.setflags(write=False)
     return basis
 
@@ -327,16 +322,13 @@ def _check_ac3(rng: np.random.Generator) -> Clauses:
 def _check_expansion_residual(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     s = int(rng.integers(1, 4))
+    plus, minus = (_factorial_moments(f, s + 1, side) for side in ("plus", "minus"))
     residual = f - delta(0)
     for k in range(1, s + 1):
-        c_plus = factorial_moment(f, k, "plus") / math.factorial(k)
-        c_minus = factorial_moment(f, k, "minus") / math.factorial(k)
+        c_plus = plus[k - 1] / math.factorial(k)
+        c_minus = minus[k - 1] / math.factorial(k)
         residual = residual - c_plus * _step_power(1, k) - c_minus * _step_power(-1, k)
-    cap = (
-        (factorial_moment(f, s + 1, "plus") + factorial_moment(f, s + 1, "minus"))
-        * 2.0 ** (s + 1)
-        / math.factorial(s + 1)
-    )
+    cap = (plus[s] + minus[s]) * 2.0 ** (s + 1) / math.factorial(s + 1)
     return _clauses(
         [tv_norm(residual)],
         [cap],

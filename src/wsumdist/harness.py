@@ -28,6 +28,7 @@ from .approximants import build_din, nb_component_pmf, nb_match
 from .bounds import (
     BlockSpec,
     BoundReport,
+    _Pair,
     bound_iid,
     bound_markov,
     bound_nb,
@@ -38,7 +39,6 @@ from .lattice import (
     convolve,
     delta,
     exp_measure,
-    factorial_moment,
     from_entries,
     kolmogorov_norm,
     moments,
@@ -209,7 +209,8 @@ class ExperimentConfig:
         for name in ("n_grid", "weights", "chains"):
             if not isinstance(payload.get(name, ()), (list, tuple)):
                 raise ValueError(f"config field {name!r} must be a list")
-        if not all(isinstance(pair, (list, tuple)) for pair in payload.get("chains", ())):
+        chains = payload.get("chains", ())
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in chains):
             raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
         # __post_init__'s int() would truncate 16.7 and read true as 1, its
         # float() would read true as 1.0 and "0.5" as 0.5, and open() would
@@ -223,7 +224,7 @@ class ExperimentConfig:
                     )
         numbers = {
             "weights": payload.get("weights", ()),
-            "chains": [v for pair in payload.get("chains", ()) for v in pair],
+            "chains": [v for pair in chains for v in pair],
             "tail_tol": [payload["tail_tol"]] if "tail_tol" in payload else (),
         }
         for name, items in numbers.items():
@@ -424,16 +425,18 @@ def run_example(
     weights = tuple(float(w) for w in weights)
     basis = WeightBasis(weights)
 
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    pair = _Pair.of(f, g, s + 1)
+    nu_f, nu_g = pair.plus
     prelude: dict = {}
     for k in range(1, s + 1):
-        prelude[f"nu{k}.f"] = factorial_moment(f, k, "plus")
-        prelude[f"nu{k}.g"] = factorial_moment(g, k, "plus")
-    bp = factorial_moment(f, s + 1, "plus") + factorial_moment(g, s + 1, "plus")
-    bm = factorial_moment(f, s + 1, "minus") + factorial_moment(g, s + 1, "minus")
+        prelude[f"nu{k}.f"] = nu_f[k - 1]
+        prelude[f"nu{k}.g"] = nu_g[k - 1]
+    bp, bm = pair.beta(s + 1)
     prelude[f"beta{s + 1}"] = bp + bm
     prelude["u"] = smoothness_u(f, g)
-    nu1, nu2 = (factorial_moment(f, k, "plus") for k in (1, 2))
-    prelude["overlap_criterion"] = nu1 - nu2 - nu1**2
+    prelude["overlap_criterion"] = nu_f[0] - nu_f[1] - nu_f[0] ** 2
 
     def row(n: int) -> tuple[Headline, BoundReport]:
         sizes = _block_sizes(n, weights)

@@ -460,18 +460,23 @@ def factorial_moment(f: LatticeMeasure, k: int, side: str = "plus") -> float:
     k = int(k)
     if k < 1:
         raise ValueError("factorial moment order must be >= 1")
-    if side == "plus":
-        sel = f.support >= k
-        pts = f.support[sel].astype(np.float64)
-    elif side == "minus":
-        sel = f.support <= -k
-        pts = (-f.support[sel]).astype(np.float64)
-    else:
+    if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
+    return _factorial_moments(f, k, side)[-1]
+
+
+def _factorial_moments(f: LatticeMeasure, order: int, side: str) -> list[float]:
+    """``factorial_moment(f, k, side)`` for k = 1..order from one running
+    falling-factorial product over the tail.  Order k dots only the points
+    >= k, in support order, so its value does not depend on ``order``."""
+    pts = (f.support if side == "plus" else -f.support).astype(np.float64)
     weights = np.ones_like(pts)
-    for j in range(k):
-        weights *= pts - j
-    return float(weights @ f.masses[sel])
+    out = []
+    for k in range(1, order + 1):
+        weights *= pts - (k - 1)
+        keep = pts >= k
+        out.append(float(weights[keep] @ f.masses[keep]))
+    return out
 
 
 def _require_probability(f: LatticeMeasure, what: str) -> None:

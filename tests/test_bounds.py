@@ -19,6 +19,7 @@ from wsumdist.bounds import (
     lemma_fg_gap,
     lemma_fg_gap_sym,
 )
+from wsumdist import lattice
 from wsumdist.checks import gen_matched_pair
 from wsumdist.lattice import factorial_moment, from_entries, moments, smoothness_u
 from wsumdist.markov import MBParams
@@ -229,22 +230,44 @@ class TestBoundIndependent:
 
     @pytest.mark.parametrize("sym", [False, True])
     def test_distinct_summands_match_per_summand_sum(self, sym):
-        s = 2
-        summand_blocks = [
-            [gen_matched_pair(seed, s) for seed in range(5)],
-            [gen_matched_pair(seed, s) for seed in range(100, 103)],
-        ]
         weights = (1.0, math.sqrt(2.0))
+        bound = bound_independent_sym if sym else bound_independent
+        for s in (2,) if sym else (1, 2, 3):
+            for base in (0, 1000, 7919):
+                summand_blocks = [
+                    [gen_matched_pair(base + seed, s) for seed in range(7)],
+                    [gen_matched_pair(base + seed, s) for seed in range(100, 104)],
+                ]
+                blocks = [
+                    BlockSpec.from_summands(
+                        [f for f, _ in block], [g for _, g in block], weight=w
+                    )
+                    for block, w in zip(summand_blocks, weights)
+                ]
+                assert [b.counts for b in blocks] == [(1,) * 7, (1,) * 4]
+                report = bound(blocks, s)
+                want = _per_summand_reference(summand_blocks, weights, s, sym)
+                assert report.factor == want, (s, base)
+
+    def test_one_shift_overlap_per_law_and_pair(self, monkeypatch):
+        # One bound call summarises each distinct pair once, even when the
+        # pair recurs in another block: two shift overlaps, one per law.
+        pairs = [gen_matched_pair(seed, 2) for seed in range(5)]
         blocks = [
             BlockSpec.from_summands(
-                [f for f, _ in block], [g for _, g in block], weight=w
+                [f for f, _ in chosen], [g for _, g in chosen], weight=w
             )
-            for block, w in zip(summand_blocks, weights)
+            for chosen, w in ((pairs[:3], 1.0), (pairs[3:] + pairs[:1], 2.0))
         ]
-        assert [b.counts for b in blocks] == [(1,) * 5, (1,) * 3]
-        bound = bound_independent_sym if sym else bound_independent
-        report = bound(blocks, s)
-        assert report.factor == _per_summand_reference(summand_blocks, weights, s, sym)
+        seen = []
+        overlap = lattice._shift_overlap
+        monkeypatch.setattr(
+            lattice, "_shift_overlap", lambda f: seen.append(f) or overlap(f)
+        )
+        bound_independent_sym(blocks, 2)
+        laws = [law for pair in pairs for law in pair]
+        assert len(seen) == 2 * len(pairs)
+        assert sorted(map(id, seen)) == sorted(map(id, laws))
 
 
 class TestBoundIndependentSym:

@@ -464,6 +464,8 @@ class TestCli:
             ({"weights": ["1.5"]}, "'weights' takes numbers, got ['1.5']"),
             ({"chains": [[0.3, 0.02], [0, True]]}, "'chains' takes numbers"),
             ({"tail_tol": "1e-10"}, "'tail_tol' takes numbers, got '1e-10'"),
+            ({"chains": [[0.3]]}, "'chains' must hold [p, q_bar] pairs"),
+            ({"chains": [[0.3, 0.02, 5]]}, "'chains' must hold [p, q_bar] pairs"),
         ],
     )
     def test_config_values_type_checked(self, payload, message):
@@ -496,6 +498,8 @@ class TestCli:
             ('{"chains": [[false, true]]}', "'chains' takes numbers, got [[False, True]]"),
             ('{"chains": [[0.3, "0.02"]]}', "'chains' takes numbers"),
             ('{"tail_tol": true}', "'tail_tol' takes numbers, got True"),
+            ('{"chains": [[0.3]]}', "'chains' must hold [p, q_bar] pairs"),
+            ('{"chains": [[0.3, 0.02, 5]]}', "'chains' must hold [p, q_bar] pairs"),
         ],
     )
     def test_bad_config_exits_1(self, tmp_path, text, message):

@@ -11,6 +11,7 @@ from wsumdist.approximants import build_din
 from wsumdist.lattice import (
     TRIM_RELATIVE,
     LatticeMeasure,
+    _factorial_moments,
     _sorted_union,
     char_fn,
     concentration,
@@ -456,6 +457,67 @@ class TestFactorialMoments:
         # sum over m >= k of m(m-1)...(m-k+1) * mass(-m)
         assert factorial_moment(m, 1, "minus") == pytest.approx(1.0, abs=1e-15)
         assert factorial_moment(m, 2, "minus") == pytest.approx(1.0, abs=1e-15)
+
+
+def _factorial_moment_per_order(f, k, side):
+    """factorial_moment as one loop per order, kept verbatim from before
+    the one-pass routine as its oracle."""
+    if side == "plus":
+        sel = f.support >= k
+        pts = f.support[sel].astype(np.float64)
+    else:
+        sel = f.support <= -k
+        pts = (-f.support[sel]).astype(np.float64)
+    weights = np.ones_like(pts)
+    for j in range(k):
+        weights *= pts - j
+    return float(weights @ f.masses[sel])
+
+
+@st.composite
+def stored_measures(draw):
+    """Signed measures built without the trim, so stored 0.0 masses stay:
+    one to 64 points in a window from [-1, 1] to [-80, 80].  Dots of more
+    than a few dozen terms are summed in several lanes, so a stray zero
+    term there would show in the bits."""
+    size = draw(st.integers(min_value=1, max_value=64))
+    reach = draw(st.integers(min_value=(size + 1) // 2, max_value=80))
+    points = draw(
+        st.lists(
+            st.integers(min_value=-reach, max_value=reach),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    masses = draw(
+        st.lists(
+            st.just(0.0) | st.floats(min_value=-1.0, max_value=1.0),
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    return LatticeMeasure(np.array(sorted(points)), np.array(masses))
+
+
+class TestOnePassFactorialMoments:
+    @given(stored_measures(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_order_loop(self, m, s):
+        for side in ("plus", "minus"):
+            want = [_factorial_moment_per_order(m, k, side) for k in range(1, s + 3)]
+            assert _factorial_moments(m, s + 2, side) == want
+            for k in range(1, s + 3):
+                assert factorial_moment(m, k, side) == want[k - 1]
+                reach = m.support if side == "plus" else -m.support
+                if not (reach >= k).any():
+                    assert want[k - 1] == 0.0
+
+    def test_orders_past_the_support_read_zero(self):
+        m = LatticeMeasure(np.array([-2, 0, 1]), np.array([0.25, 0.0, 0.75]))
+        assert _factorial_moments(m, 4, "plus") == [0.75, 0.0, 0.0, 0.0]
+        assert _factorial_moments(m, 4, "minus") == [0.5, 0.5, 0.0, 0.0]
+        assert _factorial_moments(delta(3), 5, "plus") == [3.0, 6.0, 6.0, 0.0, 0.0]
 
 
 class TestSmoothness:
