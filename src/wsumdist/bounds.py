@@ -16,6 +16,8 @@ each distinct pair once (the smaller shift overlap u, the larger variance,
 both laws' factorial moments of orders 1..s+2 on both tails), and every
 term and hypothesis check reads that table.  It lives for the call only:
 measures hash by identity, so a longer-lived cache would keep them alive.
+BlockSpec checks each law once, when the block is built, that it is a
+probability law; measures are immutable, so the bounds never check again.
 """
 
 from __future__ import annotations
@@ -25,16 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .lattice import (
-    LatticeMeasure,
-    _factorial_moments,
-    _step_power,
-    convolve,
-    delta,
-    moments,
-    smoothness_u,
-    tv_norm,
-)
+from . import lattice
+from .lattice import LatticeMeasure, convolve, delta, signed_moments, tv_norm
 from .approximants import nb_match
 from .markov import MBParams, cond1_check
 
@@ -193,7 +187,7 @@ class _Pair(NamedTuple):
     @classmethod
     def of(cls, f: LatticeMeasure, g: LatticeMeasure, order: int, *rest) -> "_Pair":
         def tail(side: str) -> tuple[list[float], list[float]]:
-            return tuple(_factorial_moments(m, order, side) for m in (f, g))
+            return tuple(lattice._factorial_moments(m, order, side) for m in (f, g))
 
         return cls(tail("plus"), tail("minus"), *rest)
 
@@ -229,8 +223,9 @@ def _checked(blocks: list[BlockSpec], s) -> tuple[int, dict, tuple[str, ...]]:
         raise ValueError("need at least one block")
     table = {}
     for f, g in dict.fromkeys(pair for block in blocks for pair in block.pairs):
-        variance = max(moments(f).variance, moments(g).variance)
-        table[f, g] = _Pair.of(f, g, s + 2, smoothness_u(f, g), variance)
+        u = min(lattice._shift_overlap(f), lattice._shift_overlap(g))
+        variance = max(signed_moments(f).variance, signed_moments(g).variance)
+        table[f, g] = _Pair.of(f, g, s + 2, u, variance)
     warnings: list[str] = []
     for i, block in enumerate(blocks):
         summaries = [table[pair] for pair in block.pairs]
@@ -379,7 +374,7 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
     warnings: list[str] = []
     u_tildes = []
     for i, (block, f) in enumerate(zip(blocks, laws)):
-        summary = moments(f)
+        summary = signed_moments(f)
         block_mean = block.n * summary.mean
         block_var = block.n * summary.variance
         params = nb_match(block_mean, block_var)
@@ -402,7 +397,7 @@ def bound_nb(blocks: list[BlockSpec]) -> BoundReport:
     components["factor.weighted_u_inv_sqrt"] = total**-0.5
     bracket_term = 0.0
     for i, f in enumerate(laws):
-        nu1, nu2, nu3 = _factorial_moments(f, 3, "plus")
+        nu1, nu2, nu3 = lattice._factorial_moments(f, 3, "plus")
         bracket = nu3 + nu1 * nu2 + nu1**3 + (nu2 - nu1**2) ** 2 / nu1
         bracket_term += bracket / u_tildes[i]
         components[f"block{i}.bracket"] = bracket
@@ -498,7 +493,7 @@ def lemma_fg_gap_sym(
         raise OddSError("the symmetric refinement needs even s")
     s, pair = _require_matched(f, g, s)
     bp1, bm1 = pair.beta(s + 1)
-    leading = ((bp1 - bm1) / math.factorial(s + 1)) * _step_power(1, s + 1)
+    leading = ((bp1 - bm1) / math.factorial(s + 1)) * lattice._step_power(1, s + 1)
     residual = (f - g) - leading
     bp2, bm2 = pair.beta(s + 2)
     cap = (bp2 + bm2 + bm1) * 2.0 ** (s + 2)

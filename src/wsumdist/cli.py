@@ -144,8 +144,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"{args.command!r} (kind {kind!r})"
             )
         payload.update(file_payload)
-    cfg = ExperimentConfig.from_json_dict(payload)
-    return cfg.override(**{k: v for k, v in vars(args).items() if k in _FIELDS})
+    # Flags win over the file; those not given are None.
+    payload.update({k: v for k, v in vars(args).items() if k in _FIELDS and v is not None})
+    return ExperimentConfig.from_json_dict(payload)
 
 
 def _emit_sweep(result: SweepResult, cfg: ExperimentConfig, as_json: bool) -> None:

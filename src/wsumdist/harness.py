@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -135,6 +137,12 @@ class ExperimentConfig:
     holds one (p, q_bar) pair per weight for markov sweeps.  seed drives
     every randomized kind and count sizes the check suite; tail_tol is
     forwarded to all series truncations; out is an optional CSV path.
+
+    The constructor checks every value, from Python, JSON or a flag, once:
+    s, k0, seed, count and n_grid's entries take integers (numbers.Integral),
+    weights, tail_tol and each chain's p and q_bar real numbers (numbers.Real),
+    never bool; n_grid, weights and chains are lists or tuples, and out is a
+    str or None.  Values are stored as Python ints, floats and tuples.
     """
 
     kind: str
@@ -149,38 +157,61 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "out" and getattr(self, f.name) is None:
+                raise ValueError(f"config field {f.name!r} must not be null")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind: {self.kind!r} (choose from {KINDS})")
-        grid = tuple(int(n) for n in self.n_grid)
-        if any(n < 1 for n in grid):
+        for name in ("n_grid", "weights", "chains"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"config field {name!r} must be a list")
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.chains):
+            raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
+        # int() would truncate 16.7 and read True as 1, float() would read
+        # True as 1.0 and "0.5" as 0.5, and open() would take a number as
+        # out for a file descriptor.
+        chain_values = [v for pair in self.chains for v in pair]
+        items = {"n_grid": self.n_grid, "weights": self.weights, "chains": chain_values}
+        for names, kind, takes in (
+            (("n_grid", "s", "k0", "seed", "count"), numbers.Integral, "integers"),
+            (("weights", "chains", "tail_tol"), numbers.Real, "numbers"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                given = items.get(name, [value])
+                if any(isinstance(v, bool) or not isinstance(v, kind) for v in given):
+                    raise ValueError(
+                        f"bad config value: {name!r} takes {takes}, got {value!r}"
+                    )
+        if not isinstance(self.out, (str, type(None))):
+            raise ValueError(
+                f"bad config value: 'out' takes a path or null, got {self.out!r}"
+            )
+        put = partial(object.__setattr__, self)
+        put("n_grid", tuple(int(n) for n in self.n_grid))
+        put("weights", tuple(float(w) for w in self.weights))
+        put("chains", tuple((float(p), float(qb)) for p, qb in self.chains))
+        for name in ("s", "k0", "seed", "count"):
+            put(name, int(getattr(self, name)))
+        put("tail_tol", float(self.tail_tol))
+        if any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid entries must be >= 1")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
-        if int(self.s) < 1:
+        if self.s < 1:
             raise ValueError("s must be >= 1")
-        object.__setattr__(self, "s", int(self.s))
-        if int(self.k0) < 2:
+        if self.k0 < 2:
             raise ValueError("k0 must be >= 2")
-        object.__setattr__(self, "k0", int(self.k0))
-        weights = tuple(float(w) for w in self.weights)
-        if not weights or any(not (w > 0.0 and math.isfinite(w)) for w in weights):
+        if not self.weights or any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
             raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "weights", weights)
-        chains = tuple((float(p), float(qb)) for p, qb in self.chains)
-        for p, qb in chains:
-            if not (0.0 <= p < 1.0 and 0.0 < qb <= 1.0):
-                raise ValueError("chains entries must be (p in [0,1), q_bar in (0,1])")
-        object.__setattr__(self, "chains", chains)
-        if int(self.seed) < 0:
+        if not all(0.0 <= p < 1.0 and 0.0 < qb <= 1.0 for p, qb in self.chains):
+            raise ValueError("chains entries must be (p in [0,1), q_bar in (0,1])")
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if int(self.count) < 1:
+        if self.count < 1:
             raise ValueError("count must be >= 1")
-        object.__setattr__(self, "count", int(self.count))
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError("tail_tol must lie in (0, 1)")
-        object.__setattr__(self, "tail_tol", float(self.tail_tol))
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,44 +233,10 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        # __post_init__ turns the lists into tuples; reject what it cannot.
-        for name, value in payload.items():
-            if value is None and name != "out":
-                raise ValueError(f"config field {name!r} must not be null")
-        for name in ("n_grid", "weights", "chains"):
-            if not isinstance(payload.get(name, ()), (list, tuple)):
-                raise ValueError(f"config field {name!r} must be a list")
-        chains = payload.get("chains", ())
-        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in chains):
-            raise ValueError("config field 'chains' must hold [p, q_bar] pairs")
-        # __post_init__'s int() would truncate 16.7 and read true as 1, its
-        # float() would read true as 1.0 and "0.5" as 0.5, and open() would
-        # take a number as out for a file descriptor.
-        for name in ("n_grid", "s", "k0", "seed", "count"):
-            if name in payload:
-                items = payload[name] if name == "n_grid" else [payload[name]]
-                if any(type(v) is not int for v in items):
-                    raise ValueError(
-                        f"bad config value: {name!r} takes integers, got {payload[name]!r}"
-                    )
-        numbers = {
-            "weights": payload.get("weights", ()),
-            "chains": [v for pair in chains for v in pair],
-            "tail_tol": [payload["tail_tol"]] if "tail_tol" in payload else (),
-        }
-        for name, items in numbers.items():
-            if any(type(v) not in (int, float) for v in items):
-                raise ValueError(
-                    f"bad config value: {name!r} takes numbers, got {payload[name]!r}"
-                )
-        if not isinstance(payload.get("out"), (str, type(None))):
-            raise ValueError(
-                f"bad config value: 'out' takes a path or null, got {payload['out']!r}"
-            )
         try:
             return cls(**payload)
         except TypeError as exc:
-            # A value of the wrong type, such as "s": [3], fails int().
+            # A payload without kind misses the one required field.
             raise ValueError(f"bad config value: {exc}") from exc
 
     def override(self, **changes) -> "ExperimentConfig":

@@ -108,13 +108,17 @@ class WeightedMeasure:
         return f"WeightedMeasure(factor sizes {sizes}, weights {self.basis.weights})"
 
 
+def _slot(index: int, basis: WeightBasis) -> int:
+    """Position in ``basis.weights`` of the 1-based weight ``index``."""
+    if not 1 <= int(index) <= basis.size:
+        raise IndexError(f"weight index {int(index)} out of range 1..{basis.size}")
+    return int(index) - 1
+
+
 def lift(f: LatticeMeasure, index: int, basis: WeightBasis) -> WeightedMeasure:
     """Embed a lattice measure along weight ``index`` (1-based) of ``basis``."""
-    index = int(index)
-    if not 1 <= index <= basis.size:
-        raise IndexError(f"weight index {index} out of range 1..{basis.size}")
     factors = [delta(0)] * basis.size
-    factors[index - 1] = f
+    factors[_slot(index, basis)] = f
     return WeightedMeasure(basis, tuple(factors))
 
 
@@ -139,16 +143,16 @@ def weighted_sum_distribution(
     """
     if not components:
         raise ValueError("need at least one component")
-    acc: WeightedMeasure | None = None
+    factors: list[LatticeMeasure | None] = [None] * basis.size
     for f, n, index in components:
         if not f.is_probability:
             raise ValueError("component laws must be probability distributions")
         if int(n) < 1:
             raise ValueError("component count must be >= 1")
-        term = lift(power(f, int(n)), index, basis)
-        acc = term if acc is None else wconvolve(acc, term)
-    assert acc is not None
-    return acc
+        term = power(f, int(n))
+        at = _slot(index, basis)
+        factors[at] = term if factors[at] is None else convolve(factors[at], term)
+    return WeightedMeasure(basis, tuple(delta(0) if f is None else f for f in factors))
 
 
 def _laid_on(support: np.ndarray, f: LatticeMeasure) -> np.ndarray:

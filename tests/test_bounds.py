@@ -269,6 +269,27 @@ class TestBoundIndependent:
         assert len(seen) == 2 * len(pairs)
         assert sorted(map(id, seen)) == sorted(map(id, laws))
 
+    @pytest.mark.parametrize("call", [check_assumptions, bound_independent_sym])
+    def test_built_blocks_are_not_checked_again(self, monkeypatch, call):
+        # BlockSpec checked every law when the blocks were built; a bound
+        # call reads their moments and overlaps without a second check.
+        pairs = [gen_matched_pair(seed, 2) for seed in range(5)]
+        blocks = [
+            BlockSpec.from_summands(
+                [f for f, _ in chosen], [g for _, g in chosen], weight=w
+            )
+            for chosen, w in ((pairs[:3], 1.0), (pairs[3:] + pairs[:1], 2.0))
+        ]
+        calls = []
+        require = lattice._require_probability
+        monkeypatch.setattr(
+            lattice,
+            "_require_probability",
+            lambda f, what: calls.append(what) or require(f, what),
+        )
+        call(blocks, 2)
+        assert calls == []
+
 
 class TestBoundIndependentSym:
     def test_odd_s_rejected(self):

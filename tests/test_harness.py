@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wsumdist.harness import (
@@ -21,6 +22,25 @@ from wsumdist.harness import (
     run_markov,
     run_nb,
 )
+
+
+# The two doors into a config: a JSON payload and the Python constructor.
+# Both run the one validation pass, so each bad value gets one message.
+BUILDS = {
+    "json": ExperimentConfig.from_json_dict,
+    "python": lambda payload: ExperimentConfig(**payload),
+}
+
+
+def _same_error(payload: dict) -> str:
+    """The ValueError message every build gives payload; they must agree."""
+    messages = set()
+    for build in BUILDS.values():
+        with pytest.raises(ValueError) as info:
+            build(payload)
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
 
 
 def _cli(*argv, **kwargs):
@@ -89,6 +109,10 @@ class TestExperimentConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json_dict({"kind": "check", "bogus": 1})
+
+    def test_payload_without_kind_rejected(self):
+        with pytest.raises(ValueError, match="'kind'"):
+            ExperimentConfig.from_json_dict({"s": 3})
 
     def test_override_skips_none(self):
         cfg = ExperimentConfig(kind="example", n_grid=(16, 64))
@@ -446,8 +470,7 @@ class TestCli:
         ],
     )
     def test_config_field_errors_name_the_field(self, payload, field):
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
+        assert re.search(field, _same_error({"kind": "markov-sweep", **payload}))
 
     @pytest.mark.parametrize(
         "payload,message",
@@ -469,8 +492,25 @@ class TestCli:
         ],
     )
     def test_config_values_type_checked(self, payload, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ExperimentConfig.from_json_dict({"kind": "markov-sweep", **payload})
+        assert message in _same_error({"kind": "markov-sweep", **payload})
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_config_numpy_scalars_stored_as_python(self, build):
+        cfg = BUILDS[build](
+            {
+                "kind": "markov-sweep",
+                "n_grid": (np.int64(50), 100),
+                "weights": (np.float64(1.0),),
+                "chains": ((np.float64(0.3), np.float32(0.5)),),
+                "seed": np.int32(4),
+                "tail_tol": np.float64(1e-9),
+            }
+        )
+        assert cfg.n_grid == (50, 100) and cfg.weights == (1.0,)
+        assert cfg.chains == ((0.3, 0.5),) and cfg.seed == 4
+        stored = [*cfg.n_grid, *cfg.weights, *cfg.chains[0], cfg.seed, cfg.tail_tol]
+        assert [type(v) for v in stored] == [int, int, float, float, float, int, float]
+        assert json.loads(json.dumps(cfg.to_json_dict())) == cfg.to_json_dict()
 
     def test_config_integral_numbers_allowed(self):
         cfg = ExperimentConfig.from_json_dict(

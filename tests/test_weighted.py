@@ -337,6 +337,37 @@ class TestWeightedSum:
         with pytest.raises(ValueError):
             weighted_sum_distribution([(delta(1) - delta(0), 1, 1)], BASIS)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.sampled_from([(1.0,), (1.0, SQRT2), (1.0, SQRT2, SQRT3)]),
+        drawn=st.lists(
+            st.tuples(probability_laws(), st.integers(1, 4), st.integers(1, 3)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_factors_match_lift_wconvolve_fold(self, weights, drawn):
+        # The reference folds one lifted power per component with
+        # wconvolve, convolving every other weight's factor with delta(0).
+        # The laws are from_entries-trimmed, so those convolutions trim
+        # nothing and the factors agree bit for bit.
+        basis = WeightBasis(weights)
+        components = [(f, n, (i - 1) % basis.size + 1) for f, n, i in drawn]
+        want = None
+        for f, n, index in components:
+            term = lift(power(f, n), index, basis)
+            want = term if want is None else wconvolve(want, term)
+        got = weighted_sum_distribution(components, basis)
+        assert got.error_budget == want.error_budget
+        for mine, ref in zip(got.factors, want.factors, strict=True):
+            assert np.array_equal(mine.support, ref.support)
+            assert np.array_equal(mine.masses, ref.masses)
+            assert mine.error_budget == ref.error_budget
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match="weight index 3 out of range 1..2"):
+            weighted_sum_distribution([(F, 2, 1), (F, 1, 3)], BASIS)
+
 
 class TestWKolmogorov:
     def test_self_distance(self):
