@@ -3,9 +3,10 @@ Markov-Binomial law vs signed compound-geometric approximant
 ============================================================
 
 The number of ones in n steps of a sticky two-state chain is computed
-exactly by dynamic programming, then approximated by the exponential of
-a scaled geometric excess measure: a signed measure with total mass one
-whose mean and variance match the chain law's.  The Kolmogorov gap
+exactly by powering the chain's 2x2 transfer matrix of polynomials, then
+approximated by the exponential of a scaled geometric excess measure: a
+signed measure with total mass one whose mean and variance match the
+chain law's.  The Kolmogorov gap
 between the two decays at about n^(-0.6) in the sticky small-switch regime.
 """
 
@@ -28,7 +29,7 @@ PARAMS = MBParams(p=0.3, q_bar=0.02, n=100)
 report = cond1_check(PARAMS)
 print(f"regime ok: {report.ok}  clauses: {report.clauses}")
 
-# Exact law vs a million simulated chains: the DP table is the ground
+# Exact law vs a million simulated chains: the exact law is the ground
 # truth, the simulation just illustrates it.
 law = mb_pmf(PARAMS)
 sim = mb_simulate(PARAMS, 1_000_000, seed=7)

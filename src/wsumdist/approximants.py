@@ -197,7 +197,7 @@ def build_din(params, tail_tol: float = 1e-10) -> tuple[DinCoefficients, Lattice
     variance (a1 (1 + p) - 2 a2)/q**2.  a1 reproduces the chain's exact
     mean (including the start-at-zero transient) up to terms of order
     (p - q_bar)^n.  a2 = (a1 (1 + p) - q**2 Var)/2, with Var the chain's
-    exact variance from ``mb_variance`` (closed form, O(1) in n), so the
+    exact variance from ``mb_variance`` (O(log n) powering), so the
     variances agree up to rounding and the truncation budget.
 
     The coefficient of n in a2 is the variance's growth rate,

@@ -23,6 +23,7 @@ probability law; measures are immutable, so the bounds never check again.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -75,15 +76,20 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         pairs = tuple((f, g) for f, g in self.pairs)
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
         if not pairs or len(counts) != len(pairs):
             raise ValueError("need at least one pair and one count per pair")
+        if not all(lattice._is_a(c, numbers.Integral) for c in counts):
+            raise ValueError("block counts must be integers")
         if min(counts) < 1:
             raise ValueError("block counts must be >= 1")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "counts", counts)
+        if not lattice._is_a(self.weight, numbers.Real):
+            raise ValueError("weight must be a real number")
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
             raise ValueError("weight must be positive and finite")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "weight", float(self.weight))
         for pair in pairs:
             for side in pair:
                 if not side.is_probability:

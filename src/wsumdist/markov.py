@@ -8,12 +8,14 @@ the statistic is the number of time steps among 1..n spent in state 1.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeMeasure
+from .lattice import LatticeMeasure, _is_a
 
 __all__ = [
     "MBParams",
@@ -25,10 +27,37 @@ __all__ = [
     "mb_simulate",
 ]
 
-# Edge mass below _FLOOR is dropped from the DP band into the law's budget.
-# The DP's own rounding moves a law by about n * eps in L1, and trimming
-# drops at most n * eps^2, eps times less.
-_FLOOR = np.finfo(np.float64).eps ** 2
+# Edge mass below _FLOOR is dropped from a product's band into the budget;
+# a product's rounding moves it by about eps per unit of mass, so trimming
+# adds eps times less.
+_EPS = float(np.finfo(np.float64).eps)
+_FLOOR = _EPS**2
+
+
+def _product(a, b):
+    """fl(A @ B) for polynomial matrices, trimmed, with its L1 error bound.
+
+    A matrix is ``(lo, coeffs, err)``: ``coeffs[i, j, t]`` is the coefficient
+    of z^(lo + t) in entry (i, j), and ``err`` bounds the largest column L1
+    gap to the exact matrix it stands for.  Edge positions where every entry
+    is below ``_FLOOR`` are dropped and their mass added to ``err``.
+    """
+    (lo_a, pa, err_a), (lo_b, pb, err_b) = a, b
+    out = np.zeros((pa.shape[0], pb.shape[1], pa.shape[2] + pb.shape[2] - 1))
+    for i in range(pa.shape[0]):
+        for j in range(pb.shape[1]):
+            for k in range(pa.shape[1]):
+                out[i, j] += np.convolve(pa[i, k], pb[k, j])
+    kept = np.flatnonzero((out >= _FLOOR).any(axis=(0, 1)))
+    first, stop = int(kept[0]), int(kept[-1]) + 1
+    dropped = float(out[..., :first].sum() + out[..., stop:].sum())
+    # An output coefficient is two convolution sums of at most m products
+    # each, added: at most m + 1 roundings on any path, so it moves by at
+    # most gamma_(m+1) = (m + 1) u / (1 - (m + 1) u) of its terms' sum.
+    rounds = (min(pa.shape[2], pb.shape[2]) + 1) * _EPS / 2.0
+    rounding = rounds / (1.0 - rounds) * (1.0 + err_a) * (1.0 + err_b)
+    err = err_a + err_b + err_a * err_b + rounding + dropped
+    return lo_a + lo_b + first, out[..., first:stop], err
 
 
 @dataclass(frozen=True)
@@ -40,12 +69,18 @@ class MBParams:
     n: int
 
     def __post_init__(self) -> None:
+        if not (_is_a(self.p, numbers.Real) and _is_a(self.q_bar, numbers.Real)):
+            raise ValueError("p and q_bar must be real numbers")
+        if not _is_a(self.n, numbers.Integral):
+            raise ValueError("n must be an integer")
         if not (0.0 <= self.p < 1.0):
             raise ValueError("p must lie in [0, 1)")
         if not (0.0 < self.q_bar <= 1.0):
             raise ValueError("q_bar must lie in (0, 1]")
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ValueError("n must be >= 1")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "q_bar", float(self.q_bar))
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -72,7 +107,7 @@ class Cond1Report:
 
 def mb_pmf(params: MBParams) -> LatticeMeasure:
     """Pmf of the occupation count: :func:`mb_pmfs` at the one horizon n, on
-    its trimmed band, with the dropped mass as its ``error_budget``."""
+    its trimmed band, with its error bound as ``error_budget``."""
     return mb_pmfs(params.p, params.q_bar, (params.n,))[0]
 
 
@@ -81,115 +116,110 @@ def mb_pmfs(
 ) -> tuple[LatticeMeasure, ...]:
     """Pmfs of the occupation count at each of the increasing horizons.
 
-    One dynamic programme runs to the largest horizon and keeps the law at
-    each horizon on its way.  State arrays f0[k], f1[k] hold the probability
-    of k successes so far with the chain currently in state 0 resp. 1.  A
-    step updates only the band [lo, top]; every entry outside it is 0.0.
-    After each step the band's edges are trimmed: the new top entry (at
-    top + 1) joins the band only if its mass is at least ``_FLOOR``, and the
-    lowest entry (f0 + f1 at lo) leaves it if its mass is below.  A dropped
-    entry counts as 0.0 and its mass is added to a running total, and
-    neither edge moves back.  Each law is stored on its band, with the total dropped
-    so far as its ``error_budget``.
+    With f0[k], f1[k] the probability of k successes so far with the chain
+    in state 0 resp. 1, one step maps (f0, f1) to M(z) (f0, f1) in
+    generating functions, M(z) = [[p_bar, q], [z q_bar, z p]].  The law at n
+    is f0 + f1 of M(z)^n (1, 0).  The squares M^(2^j) are built once, each
+    the product of the last with itself; each horizon's law applies the
+    squares for the set bits of n to the start vector (1, 0), lowest bit
+    first.  So the law at n depends only on (p, q_bar, n), whatever else
+    the grid holds.  A product multiplies the banded nonnegative entry
+    polynomials with ``np.convolve``, and its edge positions where every
+    entry is below ``_FLOOR`` are dropped into the budget, so every factor
+    is stored on its band.
 
-    Every step is a stochastic map (p + q = 1, q_bar + p_bar = 1) that
-    never lowers an index, so the L1 gap between a law and the untrimmed
-    O(n^2) table is at most its budget.  The band holds all mass but that
-    budget, so a band of one entry is never dropped and lo never passes
-    top; as each step drops at most one entry per edge, n steps drop at
-    most n entries, n * ``_FLOOR`` in all.  Kept entries are the table's
-    expressions in the same operand order, so a law that dropped nothing
-    is bit-identical to the table.  For (p, q_bar) = (0.3, 0.02) at
-    n = 10^4 the band is [75, 572], 498 masses against the table's 10001
-    (8355 of them 0.0), with budget 2.9e-28.
+    The ``error_budget`` bounds the L1 gap to the exact law of the chain
+    with transition probabilities p and q_bar (q = 1 - p, p_bar = 1 - q_bar
+    exactly).  Gaps are taken in the column norm, a column's largest L1
+    mass.  M(1) is column-stochastic and nonnegative, so every exact power
+    has norm 1, and a computed product of factors within e_a and e_b of
+    their powers lies within e_a + e_b + e_a e_b of the exact product, plus
+    its rounding and the mass it drops.  An output coefficient sums
+    nonnegative products through at most m + 1 roundings, m the shorter
+    factor's band, so the rounding is at most gamma_(m+1) (1 + e_a)(1 + e_b)
+    with gamma_k = k u / (1 - k u), u = eps/2.  M itself starts with the
+    larger column defect |1 - (p + q)| or |1 - (q_bar + p_bar)|, taken
+    exactly: fl(1 - p) and fl(1 - q_bar) miss by that much.  Each squaring
+    doubles it, so the budget grows as n times the defect plus the
+    products' rounding, and summing f0 + f1 adds u.  The total mass drifts
+    from 1 by up to the budget (-3.3e-11 at n = 10^6 for (0.3, 0.02)), past
+    the fixed ``PROBABILITY_MASS_TOL`` near n = 5*10^4, and
+    ``is_probability`` adds the budget to that tolerance.
+
+    The bound is worst-case: 7.5e-12 (3.4 n eps) at n = 10^4 for
+    (0.3, 0.02).  Against a long-double DP at n = 10^4 the L1 errors are
+    3.3e-13 for (0.3, 0.02) and 6.6e-14 for (0.99, 0.001), where an n-step
+    float DP errs by 1.9e-13 and 7.5e-15; all lie inside n eps = 2.2e-12.
     """
-    grid = [int(n) for n in horizons]
+    grid = list(horizons)
     if not grid:
         raise ValueError("horizons must be nonempty")
+    if not all(_is_a(n, numbers.Integral) for n in grid):
+        raise ValueError("horizons must be integers")
     if grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("horizons must be strictly increasing")
     chain = MBParams(p=p, q_bar=q_bar, n=grid[-1])
     p, q, q_bar, p_bar = chain.p, chain.q, chain.q_bar, chain.p_bar
-    f0, f1, g0, g1 = (np.zeros(chain.n + 1) for _ in range(4))
-    scratch = np.empty(chain.n + 1)
-    f0[0] = 1.0
-    # The buffers g0/g1 being overwritten hold the state two steps back.  A
-    # step reads only [lo, top], and g0 is never written above top, so
-    # f0[top] is 0.0 when top grows; f1[lo] is set to 0.0, as it may hold
-    # a stale entry from when lo was lower.  Other entries outside the band,
-    # dropped ones included, are never read.
-    lo = top = 0
-    dropped = 0.0
+    defect = max(abs(math.fsum((1.0, -p, -q))), abs(math.fsum((1.0, -q_bar, -p_bar))))
+    squares = [(0, np.array([[[p_bar, 0.0], [q, 0.0]], [[0.0, q_bar], [0.0, p]]]), defect)]
     laws = []
-    wanted = iter(grid)
-    horizon = next(wanted)
-    for t in range(1, chain.n + 1):
-        end = top + 1
-        old1, old0, tmp = f1[lo:end], f0[lo:end], scratch[: end - lo]
-        new1, new0 = g1[lo + 1 : end + 1], g0[lo:end]
-        np.multiply(old1, p, out=new1)
-        np.multiply(old0, q_bar, out=tmp)
-        np.add(new1, tmp, out=new1)
-        np.multiply(old1, q, out=new0)
-        np.multiply(old0, p_bar, out=tmp)
-        np.add(new0, tmp, out=new0)
-        g1[lo] = 0.0
-        if g1[end] < _FLOOR:
-            dropped += g1[end]
-        else:
-            top = end
-        if g0[lo] < _FLOOR:
-            dropped += g0[lo]
-            lo += 1
-        f0, f1, g0, g1 = g0, g1, f0, f1
-        if t == horizon:
-            masses = np.add(f0[lo : top + 1], f1[lo : top + 1])
-            support = np.arange(lo, top + 1, dtype=np.int64)
-            laws.append(LatticeMeasure(support, masses, float(dropped)))
-            horizon = next(wanted, None)
+    for n in grid:
+        n = int(n)
+        state = (0, np.array([[[1.0]], [[0.0]]]), 0.0)
+        for j in range(n.bit_length()):
+            if j == len(squares):
+                squares.append(_product(squares[-1], squares[-1]))
+            if n >> j & 1:
+                state = _product(squares[j], state)
+        lo, coeffs, err = state
+        masses = coeffs[0, 0] + coeffs[1, 0]
+        support = np.arange(lo, lo + masses.size, dtype=np.int64)
+        laws.append(LatticeMeasure._owned(support, masses, err + _EPS / 2.0 * (1.0 + err)))
     return tuple(laws)
 
 
 def mb_variance(params: MBParams) -> float:
-    """Exact variance of the occupation count, in closed form and O(1).
+    """Exact variance of the occupation count, by O(log n) matrix powering.
 
-    With lambda = p - q_bar, stationary masses pi1 = q_bar/(q + q_bar) and
-    pi0 = 1 - pi1, and the chain started at 0, the occupation probability
-    is m_t = pi1 (1 - lambda^t) and Cov(X_s, X_t) = m_s (pi0 lambda^(t-s)
-    + pi1 lambda^t) for s < t.  Summing these over 1 <= s <= t <= n leaves
-    geometric series in lambda and lambda^2; the lambda^2 series is n
-    itself when lambda = -1 (p = 0, q_bar = 1), where 1 - lambda^2 = 0.
+    With lambda = p - q_bar, the chain started at 0 and m_t = P(X_t = 1),
+    Cov(X_s, X_t) = h_s lambda^(t-s) for s <= t, h_s = m_s (1 - m_s).  So
+    Var = Sum_{s=1..n} h_s w_(n-s) with w_k = 1 + 2 Sum_{j=1..k} lambda^j,
+    and the state (1, m, 1 - m, h, H, V) of step t, H and V the sums of h
+    and of h w up to t, follows the linear recurrence
+        m' = q_bar + lambda m,      (1 - m)' = q + lambda (1 - m),
+        h' = m' (1 - m)' = q q_bar + lambda q m + lambda q_bar (1 - m)
+             + lambda^2 h,
+        H' = H + h',                V' = h' + (1 + lambda) H + lambda V,
+    as w_(k+1) = 1 + lambda + lambda w_k.  V at n is the last entry of the
+    step matrix's n-th power applied to (1, 0, 1, 0, 0, 0).
 
-    The sums cancel when the chain is sticky (q + q_bar small): against
-    ``mb_pmf`` the relative error is below 1e-13 for q + q_bar >= 0.03 but
-    grows to about 1e-7 at q + q_bar = 1e-3.
+    For lambda >= 0, the sticky chains included, every entry of the step
+    matrix is nonnegative, so its powers add nonnegative terms and nothing
+    cancels.  Each entry rounds at most twice (eps relative), which moves
+    the n-th power by at most n eps relative, and the powering's products
+    of six terms add about 3 n eps more.  Against exact rationals the
+    relative error is at most 1.8e-13 for q + q_bar down to 1e-4 and n up
+    to 10^4, where a closed form in geometric sums, which subtracts terms
+    of size n (n - Sum lambda^t), errs by up to 7e-8.  For lambda < 0
+    (q + q_bar > 1, far from sticky) the entries' signs alternate and this
+    bound does not apply.
     """
-    n, p, q, q_bar, p_bar = params.n, params.p, params.q, params.q_bar, params.p_bar
-    lam = p - q_bar
-    one_minus_lam = q + q_bar
-    pi1 = q_bar / one_minus_lam
-    pi0 = q / one_minus_lam
-    lam_n1 = lam ** (n + 1)
-    # Sums over t = 1..n of lambda^t and of lambda^(2t).
-    s1 = lam * (1.0 - lam**n) / one_minus_lam
-    one_minus_lam2 = one_minus_lam * (p + p_bar)
-    if one_minus_lam2 == 0.0:
-        s2 = float(n)
-    else:
-        s2 = lam**2 * (1.0 - lam ** (2 * n)) / one_minus_lam2
-    sum_m = pi1 * (n - s1)
-    sum_m2 = pi1 * pi1 * (n - 2.0 * s1 + s2)
-    # Sum over s <= n of m_s * Sum_{t=s+1..n} (pi0 lambda^(t-s) + pi1 lambda^t),
-    # the s = n term being empty.
-    cross = (
-        pi0 * lam * sum_m
-        - pi0 * pi1 * (s1 - n * lam_n1)
-        + pi1 * pi1 * lam * (s1 - s2)
-        - pi1 * lam_n1 * sum_m
-    ) / one_minus_lam
-    return sum_m - sum_m2 + 2.0 * cross
+    q, q_bar, lam = params.q, params.q_bar, params.p - params.q_bar
+    h_step = [q * q_bar, lam * q, lam * q_bar, lam * lam]
+    step = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [q_bar, lam, 0.0, 0.0, 0.0, 0.0],
+            [q, 0.0, lam, 0.0, 0.0, 0.0],
+            h_step + [0.0, 0.0],
+            h_step + [1.0, 0.0],
+            h_step + [1.0 + lam, lam],
+        ]
+    )
+    start = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    return float(np.linalg.matrix_power(step, params.n)[5] @ start)
 
 
 def cond1_check(params: MBParams, k0: int = 2) -> Cond1Report:

@@ -15,6 +15,7 @@ carry are one location; values further apart are distinct, however close.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .lattice import (
     LatticeMeasure,
+    _is_a,
     _sorted_union,
     convolve,
     delta,
@@ -62,12 +64,14 @@ class WeightBasis:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
+        ws = tuple(self.weights)
         if len(ws) < 1:
             raise ValueError("weight basis needs at least one weight")
+        if not all(_is_a(w, numbers.Real) for w in ws):
+            raise ValueError("weights must be real numbers")
         if any(not (w > 0.0) or not math.isfinite(w) for w in ws):
             raise ValueError("weights must be finite and positive")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", tuple(float(w) for w in ws))
 
     @property
     def size(self) -> int:

@@ -152,7 +152,7 @@ class TestBuildDin:
         assert coeffs.gamma == pytest.approx(0.7 * 0.02 / 0.72, abs=1e-15)
         assert coeffs.a1 == pytest.approx(1.9368827160493827, abs=1e-12)
         # exp{a1 Y - a2 Y*Y} has variance (a1 (1 + p) - 2 a2) / q^2, so a2 is
-        # fixed by the chain's variance, here read off the DP law.
+        # fixed by the chain's variance, here read off the exact law.
         p, q = self.PARAMS.p, self.PARAMS.q
         variance = moments(mb_pmf(self.PARAMS)).variance
         want = (coeffs.a1 * (1.0 + p) - q * q * variance) / 2.0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,25 @@ class TestBlockSpec:
             BlockSpec(pairs=((F, G), (F, F)), counts=(2,))
         with pytest.raises(ValueError):
             BlockSpec.iid(F - G, G, 4)  # signed summand rejected
+
+    @pytest.mark.parametrize(
+        "counts,weight,message",
+        [
+            ((2.7,), 1.0, "counts must be integers"),
+            ((True,), 1.0, "counts must be integers"),
+            (("3",), 1.0, "counts must be integers"),
+            ((3,), True, "weight must be a real number"),
+            ((3,), "2.0", "weight must be a real number"),
+        ],
+    )
+    def test_counts_and_weight_type_checked(self, counts, weight, message):
+        # int() would truncate 2.7 to 2 and read True as 1.
+        with pytest.raises(ValueError, match=message):
+            BlockSpec(((F, G),), counts, weight)
+
+    def test_numpy_counts_stored_as_python(self):
+        spec = BlockSpec(((F, G),), (np.int64(3),), np.float64(2.0))
+        assert (type(spec.counts[0]), type(spec.weight)) == (int, float)
 
     def test_repeated_objects_group_to_iid(self):
         spec = BlockSpec.from_summands((F,) * 3, (G,) * 3)

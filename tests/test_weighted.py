@@ -255,6 +255,17 @@ class TestBasis:
         with pytest.raises(ValueError):
             WeightBasis((1.0, 0.0))
 
+    @pytest.mark.parametrize("weights", [("0.5", 1.0), (1.0, True), (None,)])
+    def test_weights_type_checked(self, weights):
+        # float() would read "0.5" as 0.5 and True as 1.0.
+        with pytest.raises(ValueError, match="weights must be real numbers"):
+            WeightBasis(weights)
+
+    def test_weights_stored_as_floats(self):
+        basis = WeightBasis((1, np.float64(2.5)))
+        assert basis.weights == (1.0, 2.5)
+        assert all(type(w) is float for w in basis.weights)
+
 
 class TestLift:
     def test_point_mass_position(self):
