@@ -6,10 +6,12 @@ onto the real line by ``(k_1, ..., k_N) -> sum_i k_i w_i``.  Convolution
 acts weight by weight on the integer lattice, so it never loses support
 identity to float rounding.  A measure is only its factors: real values
 are formed only by the Kolmogorov distance, once, on the union of both
-laws' lattice points, one slab of value at a time, so its memory does not
-grow with that union; it raises ResourceLimitError past SUPPORT_LIMIT
-points.  Real values closer than the rounding error their float sums can
-carry are one location; values further apart are distinct, however close.
+laws' lattice points, one slab of value at a time from the lowest, so its
+memory does not grow with that union; it stops once the mass left above
+cannot lift a gap over the largest found, and raises ResourceLimitError
+past SUPPORT_LIMIT points.  Real values closer than the rounding error
+their float sums can carry are one location; values further apart are
+distinct, however close.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ __all__ = [
 
 # The distance aborts with ResourceLimitError instead of walking a box of
 # more lattice points than this.  Its memory no longer grows with the box
-# (see _BLOCK), so the ceiling bounds the work: one pass over the box, each
-# point sorted once within its slab.
+# (see _BLOCK), so the ceiling bounds the work: at most one pass over the
+# box, each point sorted once within its slab.
 SUPPORT_LIMIT = 10**7
 
 # Points per slab, on average, when the distance walks its box in slabs of
@@ -211,8 +213,34 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     the box is rows (every weight but the last) by columns (the last
     weight), and it is walked in slabs of value, equal-width ranges that
     hold about _BLOCK points each.  A slab is gathered, sorted and
-    accumulated on its own, so memory is O(rows + columns + _BLOCK) and
-    every number is the one a single sort of the whole box would give.
+    accumulated on its own, so memory is O(rows + columns + _BLOCK).  Both
+    sides' masses ride in one complex array, a's real and b's imaginary.
+    Its products are taken on the float parts, and complex zero tests and
+    sums act part by part, so its one cumsum makes the float additions of
+    two.
+
+    The walk starts at the lowest slab and stops before the first slab
+    whose remaining mass cannot reach the peak, the largest gap at a
+    confirmed cluster end.  With A and B the running totals and d the
+    gap |A - B| after the last slab walked, r is the absolute mass at or
+    above the slab's lower bound: |row mass| times a suffix sum of
+    |column masses| from the row's cut, over the rows that meet the slab,
+    plus a suffix sum over the rows wholly above it.  The walk stops when
+    d + r + slack (d + r + |A| + |B|) + floor <= peak, with
+    slack = 2 (n + 8) eps and floor = 8 n eta for n box points and eta the
+    smallest subnormal.  Each later gap is at most d + r plus the rounding
+    of what follows, with u = eps / 2 and n u <= 1e-9 under SUPPORT_LIMIT:
+    the cumsum adds at most n terms to A and B, so it errs by at most
+    about n u (|A| + |B| + r); each mass is one rounded product, within
+    u relative and eta / 2 absolute of its exact value; and r sums
+    nonnegative terms in at most rows + columns + 4 <= n + 5 rounded steps
+    (at most four products per row, eta / 2 each), so it lies within about
+    (n + 5) u relative and 2 n eta absolute of their exact sum.  That is
+    less than half of the margin; the rest covers the rounding of the test
+    itself.  So no later gap exceeds the peak, nor does d, the gap still
+    pending, and the peak is the float the full walk returns.  Every number the
+    walk computes is the one a single sort of the whole box would give,
+    and the slabs it skips cannot change the maximum.
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
@@ -245,59 +273,84 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     # row's share of a slab is one run of columns.  Float addition is
     # monotone, so the box's extreme values are the extreme row plus the
     # extreme column, and along the rows in value order each row's lowest
-    # and highest points are nondecreasing.
+    # and highest points are nondecreasing.  The rows that meet a slab are
+    # a contiguous run of that order, so a row's cut at a slab's lower bound
+    # is its cut at the previous slab's upper one, or 0 if it met no slab
+    # yet; cuts keeps it per row.
     slabs = -(-count // _BLOCK)
     low = row_v.min() + col_v[0]
     bounds = low + np.arange(slabs + 1) * ((row_v.max() + col_v[-1] - low) / slabs)
     bounds[0], bounds[-1] = -np.inf, np.inf
     rank = np.argsort(row_v, kind="stable")
     row_low, row_high = row_v[rank] + col_v[0], row_v[rank] + col_v[-1]
+    cuts = np.zeros(row_v.size, dtype=np.intp)
 
     # Every box value is N float products k_i w_i added in weight order, so
     # with the weights read as doubles (relative error u = eps / 2) it lies
     # within about (N + 1) u M of its exact sum, M = sum_i max |k_i| w_i
     # bounding every partial sum.  Two values with equal exact sums differ
     # by at most (N + 1) eps M <= 2 N eps M; tol doubles that.
+    eps = np.finfo(float).eps
     magnitude = sum(np.abs(union).max() * w for union, w in zip(unions, a.basis.weights))
-    tol = 4 * len(unions) * np.finfo(float).eps * magnitude
+    tol = 4 * len(unions) * eps * magnitude
 
-    # A slab gathers its rows' runs row by row in box order, so its stable
-    # order is its part of the whole box's stable order.  Both sides
-    # accumulate in the same order, so the result is exactly symmetric in
-    # (a, b).  Slot 0 of each cumsum carries the previous slab's total, and
-    # cumsum adds strictly in order, so the slabs give one cumsum's numbers;
-    # -0.0 starts it, as -0.0 + x is x for every x.  A slab's last point is
-    # a cluster end once the next slab's first value lies more than tol
-    # above it, or when no slab follows.
-    total_a = total_b = -0.0
+    # The absolute mass at or above a slab's lower bound (see the
+    # docstring): per row that meets the slab, |row mass| times the column
+    # suffix sum from its cut, plus above[top], every row from rank
+    # position top up.
+    abs_a, abs_b = np.abs(row_a), np.abs(row_b)
+    tail_a = np.append(np.cumsum(np.abs(col_a[::-1]))[::-1], 0.0)
+    tail_b = np.append(np.cumsum(np.abs(col_b[::-1]))[::-1], 0.0)
+    whole = (abs_a * tail_a[0] + abs_b * tail_b[0])[rank]
+    above = np.append(np.cumsum(whole[::-1])[::-1], 0.0)
+    slack = 2 * (count + 8) * eps
+    floor = 8 * count * np.finfo(float).smallest_subnormal
+
+    # a's masses ride as the real parts and b's as the imaginary ones, and
+    # a slab's products multiply the float parts of its rows' and columns'
+    # masses pair by pair.  A slab gathers its rows' runs row by row in box
+    # order, so its stable order is its part of the whole box's stable
+    # order.  Both sides accumulate in the same order, so the result is
+    # exactly symmetric in (a, b).  Slot 0 of the cumsum carries the
+    # previous slab's totals, and cumsum adds strictly in order, so the
+    # slabs give one cumsum's numbers; -0.0 starts each part, as -0.0 + x
+    # is x for every x.  A slab's last point is a cluster end once the next
+    # slab's first value lies more than tol above it, or when no slab
+    # follows.
+    row_ab = np.stack((row_a, row_b), axis=1).view(np.complex128).ravel()
+    col_ab = np.stack((col_a, col_b), axis=1).view(np.complex128).ravel()
+    total = complex(-0.0, -0.0)
     last = -np.inf
     peak = pending = 0.0
     for lower, upper in zip(bounds[:-1], bounds[1:]):
-        rows = np.sort(rank[np.searchsorted(row_high, lower) : np.searchsorted(row_low, upper)])
+        top = np.searchsorted(row_low, upper)
+        rows = np.sort(rank[np.searchsorted(row_high, lower) : top])
+        start = cuts[rows]
+        rest = (abs_a[rows] * tail_a[start] + abs_b[rows] * tail_b[start]).sum() + above[top]
+        carried = abs(total.real) + abs(total.imag)
+        if pending + rest + (slack * (pending + rest + carried) + floor) <= peak:
+            break
         rows_v = row_v[rows]
-        start = _cut(rows_v, col_v, lower)
-        runs = _cut(rows_v, col_v, upper) - start
+        stop = _cut(rows_v, col_v, upper)
+        cuts[rows] = stop
+        runs = stop - start
         first = np.cumsum(runs) - runs  # each run's first slot in the slab
         col = np.arange(runs.sum()) + np.repeat(start - first, runs)
-        mass_a = np.repeat(row_a[rows], runs) * col_a[col]
-        mass_b = np.repeat(row_b[rows], runs) * col_b[col]
+        mass = np.repeat(row_ab[rows], runs)
+        np.multiply(mass.view(float), col_ab[col].view(float), out=mass.view(float))
         values = np.repeat(rows_v, runs) + col_v[col]
-        keep = mass_a != 0.0
-        keep |= mass_b != 0.0
+        keep = mass != 0.0
         if not keep.any():
             continue
         if not keep.all():
-            values, mass_a, mass_b = values[keep], mass_a[keep], mass_b[keep]
+            values, mass = values[keep], mass[keep]
         order = np.argsort(values, kind="stable")
-        values, mass_a, mass_b = values[order], mass_a[order], mass_b[order]
+        values = values[order]
         if values[0] - last > tol:
             peak = np.maximum(peak, pending)
-        cdf_a = np.concatenate(([total_a], mass_a))
-        cdf_b = np.concatenate(([total_b], mass_b))
-        np.cumsum(cdf_a, out=cdf_a)
-        np.cumsum(cdf_b, out=cdf_b)
-        gaps = np.abs(cdf_a[1:] - cdf_b[1:])
+        cdf = np.concatenate(([total], mass[order]))
+        np.cumsum(cdf, out=cdf)
+        gaps = np.abs(cdf.real[1:] - cdf.imag[1:])
         peak = np.maximum(peak, np.max(gaps[:-1][np.diff(values) > tol], initial=0.0))
-        total_a, total_b = cdf_a[-1], cdf_b[-1]
-        last, pending = values[-1], gaps[-1]
+        total, last, pending = cdf[-1], values[-1], gaps[-1]
     return float(np.maximum(peak, pending))

@@ -173,6 +173,19 @@ class TestRunExample:
         ]
 
     @pytest.mark.parametrize(
+        "k,want",
+        [
+            (2, ["0x1.057460bbe8000p-17", "0x1.015a1f1570000p-19", "0x1.fed187de80000p-22"]),
+            (19, ["0x1.036204bc5c000p-17", "0x1.0238f00670000p-19", "0x1.01aeb0ec00000p-21"]),
+        ],
+    )
+    def test_large_box_distance_bits(self, k, want):
+        # 12 to 94 slabs of value; the distance stops below the top few,
+        # whose mass cannot move the result, and every bit must stay
+        res = run_example((4096, 16384, 65536), weights=(1.0, math.sqrt(k)))
+        assert [d.hex() for d in res.column("distance")] == want
+
+    @pytest.mark.parametrize(
         "w2,grid,want",
         [
             (1.5 + 1e-7, (256, 1024), ["0.00013494997412877296", "3.22030194318812e-05"]),

@@ -776,6 +776,108 @@ class TestBlockSeams:
         assert got == _out_of_place_distance(a, b)
 
 
+@st.composite
+def thin_tailed_laws(draw, signed):
+    """A law on 0..size-1 whose masses fall by a drawn ratio per point, so
+    its upper tail is long and thin; signed laws flip drawn masses."""
+    size = draw(st.integers(3, 8))
+    ratio = draw(st.sampled_from((0.5, 0.125, 1e-3, 1e-9)))
+    scales = draw(st.lists(st.floats(0.25, 1.0), min_size=size, max_size=size))
+    masses = np.array(scales) * ratio ** np.arange(size)
+    if signed:
+        masses *= draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=size, max_size=size))
+    return LatticeMeasure(np.arange(size), masses)
+
+
+@st.composite
+def thin_tailed_pairs(draw, signed):
+    """Two weighted measures with one thin-tailed law per weight."""
+    basis = WeightBasis(draw(st.sampled_from(IRRATIONAL_BASES + TIED_BASES)))
+    laws = thin_tailed_laws(signed)
+    a = WeightedMeasure(basis, tuple(draw(laws) for _ in range(basis.size)))
+    b = WeightedMeasure(basis, tuple(draw(laws) for _ in range(basis.size)))
+    return a, b
+
+
+def _walk(a, b, block):
+    """The distance under slabs of about ``block`` points, the number of
+    slabs the box splits into, and the number the walk visited: _cut runs
+    once per visited slab."""
+    with mock.patch.object(weighted, "_BLOCK", block), mock.patch.object(
+        weighted, "_cut", wraps=weighted._cut
+    ) as cut:
+        got = wkolmogorov_distance(a, b)
+    return got, -(-_box_size(a, b) // block), cut.call_count
+
+
+class TestEarlyExit:
+    """The walk stops before the slabs whose mass cannot lift a gap over
+    the peak found below them; the result must keep every bit."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("signed", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_thin_tails_equal_out_of_place_body(self, block, signed, data):
+        a, b = data.draw(thin_tailed_pairs(signed))
+        got, slabs, walked = _walk(a, b, block)
+        assert walked <= slabs
+        assert got == _out_of_place_distance(a, b)
+
+    def test_example_pair_stops_early(self):
+        # run_example's n = 65536 pair: 316 x 4871 points in 94 slabs, of
+        # which the walk visits 76 (82 % of the points)
+        s_law = weighted_sum_distribution([(EXAMPLE_F, 256, 1), (EXAMPLE_F, 65536, 2)], BASIS)
+        z_law = weighted_sum_distribution([(EXAMPLE_G, 256, 1), (EXAMPLE_G, 65536, 2)], BASIS)
+        got, slabs, walked = _walk(s_law, z_law, weighted._BLOCK)
+        assert slabs == 94
+        assert walked < slabs
+        assert got.hex() == "0x1.fed187de80000p-22"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 2**14])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_differ_only_in_topmost_atom(self, block, at):
+        # b's thin factor triples its topmost atom, on the rows (at = 0) or
+        # the columns (at = 1): the gap grows with F's CDF along the top
+        # points and peaks at the box's last one
+        thin = LatticeMeasure(np.arange(12), 0.5 ** np.arange(1, 13))
+        top = LatticeMeasure(np.arange(12), thin.masses * np.where(np.arange(12) == 11, 3.0, 1.0))
+        a = WeightedMeasure(BASIS, (thin, F) if at == 0 else (F, thin))
+        b = WeightedMeasure(BASIS, (top, F) if at == 0 else (F, top))
+        got, slabs, walked = _walk(a, b, block)
+        assert walked == slabs
+        assert got == _out_of_place_distance(a, b)
+        assert got == pytest.approx(2 * 0.5**12, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 2**14])
+    def test_signed_peak_in_top_slab(self, block):
+        # b's topmost atom is -0.3 in place of a's 2**-12, so the gap after
+        # the box's last point, 0.3 + 2**-12, tops the 0.25-scale gaps below
+        thin = LatticeMeasure(np.arange(12), 0.5 ** np.arange(1, 13))
+        flipped = LatticeMeasure(np.arange(12), np.append(thin.masses[:-1], -0.3))
+        a = WeightedMeasure(BASIS, (from_entries({0: 0.5, 1: 0.5}), thin))
+        b = WeightedMeasure(BASIS, (from_entries({0: 0.25, 1: 0.75}), flipped))
+        got, slabs, walked = _walk(a, b, block)
+        assert walked == slabs
+        assert got == _out_of_place_distance(a, b)
+        assert got == pytest.approx(0.3 + 0.5**12, rel=1e-12)
+
+    def test_remaining_mass_within_margin_of_peak(self):
+        # one point per slab.  a's 2**-40 + 3 m + 2**-70 at 0 sets the peak;
+        # after 1 the totals are 3/4 + 2**-40 + 2**-52 and 3/4 + 2**-52, a
+        # gap of 2**-40.  Three masses m = 2**-54 + 2**-60 remain, 2**-70
+        # short of the peak with the gap, but each rounds a's total up by
+        # a half ulp of 3/4: the last gap is 2**-40 + 3 * 2**-53.  Only the
+        # margin's share of the totals, |A| + |B|, keeps the walk going
+        m = 2.0**-54 + 2.0**-60
+        a = _measure((1.0,), ([0, 1, 2, 3, 4], [2.0**-40 + 3 * m + 2.0**-70, 0.75, m, m, m]))
+        b = _measure((1.0,), ([1], [0.75 + 2.0**-52]))
+        got, slabs, walked = _walk(a, b, 1)
+        assert walked == slabs == 5
+        assert got == _out_of_place_distance(a, b)
+        assert got == 2.0**-40 + 3 * 2.0**-53
+
+
 class TestMemory:
     def test_peak_below_three_box_arrays(self):
         # run_example's n = 16384 pair: 224 x 2464 box points, 4.2 MiB per
