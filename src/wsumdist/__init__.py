@@ -5,162 +5,24 @@ blocks and of Markov-Binomial counts, builds matched-moment approximants
 (negative binomial, signed compound-geometric), evaluates structural
 error-bound factors against measured Kolmogorov distances, and stress
 tests the underlying inequalities on seeded random instances.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it; the package exports their union.
 """
 
-from .approximants import (
-    DinCoefficients,
-    NegBinParams,
-    UnderdispersedError,
-    build_din,
-    geometric_excess,
-    nb_component_pmf,
-    nb_match,
-)
-from .bounds import (
-    AssumptionReport,
-    BlockSpec,
-    BoundReport,
-    MomentMismatchError,
-    OddSError,
-    bound_iid,
-    bound_independent,
-    bound_independent_sym,
-    bound_markov,
-    bound_nb,
-    check_assumptions,
-    lemma_fg_gap,
-    lemma_fg_gap_sym,
-)
-from .checks import (
-    CHECK_NAMES,
-    CORE_INEQUALITY_CHECKS,
-    CheckReport,
-    CheckResult,
-    RetryExhaustedError,
-    gen_matched_pair,
-    run_check,
-)
-from .harness import (
-    EXAMPLE_F,
-    EXAMPLE_G,
-    DegenerateFitError,
-    ExperimentConfig,
-    RateFit,
-    SweepResult,
-    demo_intro,
-    fit_rate,
-    run_example,
-    run_markov,
-    run_nb,
-    write_csv,
-)
-from .lattice import (
-    LatticeMeasure,
-    MomentSummary,
-    char_fn,
-    concentration,
-    convolve,
-    delta,
-    exp_measure,
-    factorial_moment,
-    from_entries,
-    from_json_dict,
-    kolmogorov_norm,
-    moments,
-    power,
-    signed_moments,
-    smoothness_u,
-    tv_norm,
-)
-from .markov import (
-    Cond1Report,
-    MBParams,
-    cond1_check,
-    mb_pmf,
-    mb_pmfs,
-    mb_simulate,
-    mb_variance,
-)
-from .weighted import (
-    ResourceLimitError,
-    WeightBasis,
-    WeightedMeasure,
-    lift,
-    wconvolve,
-    weighted_sum_distribution,
-    wkolmogorov_distance,
-)
+from . import approximants, bounds, checks, harness, lattice, markov, weighted
+from .approximants import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .checks import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .weighted import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
-    "BlockSpec",
-    "BoundReport",
-    "CHECK_NAMES",
-    "CORE_INEQUALITY_CHECKS",
-    "CheckReport",
-    "CheckResult",
-    "Cond1Report",
-    "DegenerateFitError",
-    "DinCoefficients",
-    "EXAMPLE_F",
-    "EXAMPLE_G",
-    "ExperimentConfig",
-    "LatticeMeasure",
-    "MBParams",
-    "MomentMismatchError",
-    "MomentSummary",
-    "NegBinParams",
-    "OddSError",
-    "RateFit",
-    "ResourceLimitError",
-    "RetryExhaustedError",
-    "SweepResult",
-    "UnderdispersedError",
-    "WeightBasis",
-    "WeightedMeasure",
-    "bound_iid",
-    "bound_independent",
-    "bound_independent_sym",
-    "bound_markov",
-    "bound_nb",
-    "build_din",
-    "char_fn",
-    "check_assumptions",
-    "concentration",
-    "cond1_check",
-    "convolve",
-    "delta",
-    "demo_intro",
-    "exp_measure",
-    "factorial_moment",
-    "fit_rate",
-    "from_entries",
-    "from_json_dict",
-    "gen_matched_pair",
-    "geometric_excess",
-    "kolmogorov_norm",
-    "lemma_fg_gap",
-    "lemma_fg_gap_sym",
-    "lift",
-    "mb_pmf",
-    "mb_pmfs",
-    "mb_simulate",
-    "mb_variance",
-    "moments",
-    "nb_component_pmf",
-    "nb_match",
-    "power",
-    "run_check",
-    "run_example",
-    "run_markov",
-    "run_nb",
-    "signed_moments",
-    "smoothness_u",
-    "tv_norm",
-    "wconvolve",
-    "weighted_sum_distribution",
-    "wkolmogorov_distance",
-    "write_csv",
+    name
+    for module in (approximants, bounds, checks, harness, lattice, markov, weighted)
+    for name in module.__all__
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeMeasure, convolve, delta, exp_measure, from_entries
+from .lattice import LatticeMeasure, _integer, convolve, delta, exp_measure
 from .markov import mb_variance
 
 __all__ = [
@@ -89,7 +89,7 @@ def nb_component_pmf(
     which is eventually below 1, so the running float total (whose own
     rounding noise grows with the shape) never gates termination.
     """
-    n = int(n)
+    n = _integer(n, "component count n")
     if n < 1:
         raise ValueError("component count n must be >= 1")
     if tail_tol <= 0.0:

@@ -222,7 +222,7 @@ def check_assumptions(blocks: list[BlockSpec], s: int) -> AssumptionReport:
 
 def _checked(blocks: list[BlockSpec], s) -> tuple[int, dict, tuple[str, ...]]:
     """s as an int, each distinct pair's summary, and the hypotheses' warnings."""
-    s = int(s)
+    s = lattice._integer(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     if not blocks:
@@ -291,7 +291,7 @@ def bound_independent_sym(blocks: list[BlockSpec], s: int) -> BoundReport:
     """Even-s refinement of bound_independent: the order-(s+1) term enters
     through |beta+ - beta-| and the symmetric part is pushed to order s+2
     with an extra (Sum u)^(-1/2) damping."""
-    if int(s) % 2 != 0:
+    if lattice._integer(s, "s") % 2 != 0:
         raise OddSError("the symmetric refinement needs even s")
     s, table, warnings, components = _independent_prefactor(blocks, s)
 
@@ -451,8 +451,8 @@ def bound_markov(
 
 def _require_matched(f: LatticeMeasure, g: LatticeMeasure, s) -> tuple[int, _Pair]:
     """s as an int, and the pair's tails through order s + 2; raises unless
-    s >= 1 and the factorial moments match through order s."""
-    s = int(s)
+    s is an integer >= 1 and the factorial moments match through order s."""
+    s = lattice._integer(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     pair = _Pair.of(f, g, s + 2)
@@ -495,7 +495,7 @@ def lemma_fg_gap_sym(
     envelope (empirically slack by orders of magnitude).  Returns
     (residual_tv, cap).
     """
-    if int(s) % 2 != 0:
+    if lattice._integer(s, "s") % 2 != 0:
         raise OddSError("the symmetric refinement needs even s")
     s, pair = _require_matched(f, g, s)
     bp1, bm1 = pair.beta(s + 1)

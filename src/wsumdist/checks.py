@@ -44,6 +44,7 @@ import numpy as np
 from .lattice import (
     LatticeMeasure,
     _factorial_moments,
+    _integer,
     _step_power,
     char_fn,
     concentration,
@@ -158,7 +159,7 @@ def gen_matched_pair(
     keep all masses nonnegative.  Raises RetryExhaustedError after 1000
     rejected draws.
     """
-    s = int(s)
+    s = _integer(s, "s")
     if s not in (1, 2, 3):
         raise ValueError("s must be 1, 2, or 3")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -508,7 +509,7 @@ def run_check(
     selected family whose right-hand sides are forced to -1.0, a self-test
     hook demonstrating failure reporting.
     """
-    count = int(count)
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     selected = list(CHECK_NAMES if names is None else names)

@@ -9,10 +9,6 @@ hands it to _sweep, the one table builder: it checks the grid, appends
 the bound's components after the headline columns, tags the bound's
 warnings with their n, and fits one column against n.  The SweepResult's
 CSV and JSON renderings are byte-deterministic for a fixed configuration.
-
-Randomized instance generation (gen_matched_pair) and the seeded
-inequality suite (run_check) live in the checks module and are re-exported
-here as part of the experiment surface.
 """
 
 from __future__ import annotations
@@ -35,9 +31,8 @@ from .bounds import (
     bound_markov,
     bound_nb,
 )
-from .checks import CheckReport, gen_matched_pair, run_check  # noqa: F401
 from .lattice import (
-    LatticeMeasure,
+    _integer,
     _is_a,
     convolve,
     delta,
@@ -66,8 +61,6 @@ __all__ = [
     "SweepResult",
     "demo_intro",
     "fit_rate",
-    "gen_matched_pair",
-    "run_check",
     "run_example",
     "run_markov",
     "run_nb",
@@ -401,16 +394,15 @@ def run_example(
     n_grid: Sequence[int] = (16, 64, 256, 1024),
     *,
     weights: Sequence[float] = (1.0, SQRT2),
-    f: LatticeMeasure | None = None,
-    g: LatticeMeasure | None = None,
     s: int = 3,
 ) -> SweepResult:
     """Sweep exact Kolmogorov distance between weighted matched block sums
     against the iid structural factor.
 
     For each n the two laws are built summand-for-summand: block i holds
-    n_i independent copies of F (resp. G) scaled by weight w_i, with
-    n_1 = ceil(sqrt(n)) and n_2 = n under the default two-weight layout.
+    n_i independent copies of F = EXAMPLE_F (resp. G = EXAMPLE_G) scaled by
+    weight w_i, with n_1 = ceil(sqrt(n)) and n_2 = n under the default
+    two-weight layout.
     The prelude verifies the fixture prerequisites before any distance is
     computed: order-s factorial-moment matching, beta_{s+1}, smoothness u,
     and the value of the classical overlap criterion (negative here, so
@@ -418,11 +410,11 @@ def run_example(
     their ratio plus every flattened factor component, the bound's
     hypothesis warnings, and the fitted log-log rate of distance against n.
     """
-    f = EXAMPLE_F if f is None else f
-    g = EXAMPLE_G if g is None else g
+    f, g = EXAMPLE_F, EXAMPLE_G
     weights = tuple(float(w) for w in weights)
     basis = WeightBasis(weights)
 
+    s = _integer(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     pair = _Pair.of(f, g, s + 1)
@@ -540,10 +532,9 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
 def run_nb(
     n_grid: Sequence[int] = (25, 100, 400, 1600),
     *,
-    f: LatticeMeasure | None = None,
     tail_tol: float = 1e-13,
 ) -> SweepResult:
-    """Sweep the negative binomial matched to n-fold block sums of F.
+    """Sweep the negative binomial matched to n-fold block sums of F = EXAMPLE_F.
 
     For each n the target moments are (n * mean(F), n * variance(F));
     nb_match solves for (r, p~) and the truncated pmf's realised mean and
@@ -552,11 +543,10 @@ def run_nb(
     The factor's fitted slope is the headline: with F's per-summand
     moments fixed, it decays like n^(-1/2).
     """
-    f = EXAMPLE_F if f is None else f
-    summary = moments(f)
+    summary = moments(EXAMPLE_F)
 
     def row(n: int) -> tuple[Headline, BoundReport]:
-        report = bound_nb([BlockSpec.iid(f, f, n, 1.0)])
+        report = bound_nb([BlockSpec.iid(EXAMPLE_F, EXAMPLE_F, n, 1.0)])
         params = nb_match(n * summary.mean, n * summary.variance)
         realised = moments(nb_component_pmf(params, 1, tail_tol))
         head = (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -209,6 +210,15 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; raises ValueError unless it is an integer.
+
+    ``int()`` would truncate 2.7 to 2 and read True as 1."""
+    if not _is_a(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
+
+
 def _check_layout(support: np.ndarray, masses: np.ndarray, budget: float) -> None:
     if support.ndim != 1 or masses.ndim != 1 or support.size != masses.size:
         raise ValueError("support and masses must be 1-d arrays of equal length")
@@ -344,7 +354,7 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
 
 def power(a: LatticeMeasure, n: int) -> LatticeMeasure:
     """n-fold convolution power via binary exponentiation; ``n = 0`` is delta(0)."""
-    n = int(n)
+    n = _integer(n, "convolution power n")
     if n < 0:
         raise ValueError("convolution power requires n >= 0")
     result: LatticeMeasure | None = None
@@ -466,7 +476,7 @@ def factorial_moment(f: LatticeMeasure, k: int, side: str = "plus") -> float:
     ``side="plus"`` sums ``m (m-1) ... (m-k+1) f{m}`` over ``m >= k``;
     ``side="minus"`` does the same over the left tail using ``f{-m}``.
     """
-    k = int(k)
+    k = _integer(k, "factorial moment order")
     if k < 1:
         raise ValueError("factorial moment order must be >= 1")
     if side not in ("plus", "minus"):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeMeasure, _is_a
+from .lattice import LatticeMeasure, _integer, _is_a
 
 __all__ = [
     "MBParams",
@@ -230,7 +230,7 @@ def cond1_check(params: MBParams, k0: int = 2) -> Cond1Report:
     Block weights are validated where they enter (ExperimentConfig,
     bound_markov), not here.
     """
-    k0 = int(k0)
+    k0 = _integer(k0, "k0")
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
     clauses = {
@@ -248,7 +248,7 @@ def mb_simulate(
 
     ``seed`` is an integer (deterministic per value) or a ready Generator.
     """
-    draws = int(draws)
+    draws = _integer(draws, "draws")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

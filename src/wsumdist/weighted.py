@@ -25,6 +25,7 @@ import numpy as np
 
 from .lattice import (
     LatticeMeasure,
+    _integer,
     _is_a,
     _sorted_union,
     convolve,
@@ -37,8 +38,6 @@ __all__ = [
     "WeightedMeasure",
     "ResourceLimitError",
     "SUPPORT_LIMIT",
-    "lift",
-    "wconvolve",
     "weighted_sum_distribution",
     "wkolmogorov_distance",
 ]
@@ -87,8 +86,8 @@ class WeightedMeasure:
     ``factors`` holds one lattice measure per weight of ``basis``, in weight
     order, with ``delta(0)`` on weights that carry nothing; the measure is
     their product pushed through ``(k_1, ..., k_N) -> sum_i k_i w_i``.
-    Construct via :func:`lift` and :func:`wconvolve`, or directly from one
-    law per weight.
+    Construct it from one law per weight, or as the law of block sums with
+    :func:`weighted_sum_distribution`.
     """
 
     basis: WeightBasis
@@ -114,30 +113,6 @@ class WeightedMeasure:
         return f"WeightedMeasure(factor sizes {sizes}, weights {self.basis.weights})"
 
 
-def _slot(index: int, basis: WeightBasis) -> int:
-    """Position in ``basis.weights`` of the 1-based weight ``index``."""
-    if not 1 <= int(index) <= basis.size:
-        raise IndexError(f"weight index {int(index)} out of range 1..{basis.size}")
-    return int(index) - 1
-
-
-def lift(f: LatticeMeasure, index: int, basis: WeightBasis) -> WeightedMeasure:
-    """Embed a lattice measure along weight ``index`` (1-based) of ``basis``."""
-    factors = [delta(0)] * basis.size
-    factors[_slot(index, basis)] = f
-    return WeightedMeasure(basis, tuple(factors))
-
-
-def wconvolve(a: WeightedMeasure, b: WeightedMeasure) -> WeightedMeasure:
-    """Convolution of weighted measures over a shared basis, weight by weight:
-    (mu_1 x mu_2) * (nu_1 x nu_2) = (mu_1 * nu_1) x (mu_2 * nu_2)."""
-    if a.basis.weights != b.basis.weights:
-        raise ValueError("weighted convolution requires a common basis")
-    return WeightedMeasure(
-        a.basis, tuple(convolve(f, g) for f, g in zip(a.factors, b.factors))
-    )
-
-
 def weighted_sum_distribution(
     components: Sequence[tuple[LatticeMeasure, int, int]],
     basis: WeightBasis,
@@ -153,10 +128,13 @@ def weighted_sum_distribution(
     for f, n, index in components:
         if not f.is_probability:
             raise ValueError("component laws must be probability distributions")
-        if int(n) < 1:
+        n = _integer(n, "component count")
+        if n < 1:
             raise ValueError("component count must be >= 1")
-        term = power(f, int(n))
-        at = _slot(index, basis)
+        at = _integer(index, "weight index") - 1
+        if not 0 <= at < basis.size:
+            raise IndexError(f"weight index {at + 1} out of range 1..{basis.size}")
+        term = power(f, n)
         factors[at] = term if factors[at] is None else convolve(factors[at], term)
     return WeightedMeasure(basis, tuple(delta(0) if f is None else f for f in factors))
 

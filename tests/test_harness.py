@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from wsumdist.harness import (
-    EXAMPLE_F,
-    EXAMPLE_G,
     DegenerateFitError,
     ExperimentConfig,
     RateFit,
@@ -220,10 +218,6 @@ class TestRunExample:
         res = run_example((16, 64, 256))
         assert res.fit is not None
         assert res.fit.slope < -0.9
-
-    def test_custom_pair_passthrough(self):
-        res = run_example((16,), f=EXAMPLE_F, g=EXAMPLE_G, s=3)
-        assert len(res.rows) == 1
 
     def test_bound_warnings_tagged_with_n(self):
         # The fixtures match only through order 3, so s = 4 breaks the

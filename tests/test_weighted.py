@@ -1,4 +1,7 @@
-"""Weighted-measure tests: lifting, convolution, Kolmogorov distance."""
+"""Weighted-measure tests: laws placed on one weight, block-sum laws and the
+Kolmogorov distance.  Measures are built from one law per weight with
+``WeightedMeasure(basis, factors)`` or as block sums with
+``weighted_sum_distribution``."""
 
 import itertools
 import math
@@ -30,8 +33,6 @@ from wsumdist.weighted import (
     WeightBasis,
     WeightedMeasure,
     _laid_on,
-    lift,
-    wconvolve,
     weighted_sum_distribution,
     wkolmogorov_distance,
 )
@@ -268,59 +269,35 @@ class TestBasis:
 
 
 class TestLift:
+    """A law placed on one weight, with delta(0) on the others, is the
+    law pushed forward by k -> w k."""
+
     def test_point_mass_position(self):
-        values, masses = _atoms(lift(delta(1), 2, BASIS))
+        values, masses = _atoms(WeightedMeasure(BASIS, (delta(0), delta(1))))
         assert masses.tolist() == [1.0]
         assert values[0] == pytest.approx(SQRT2, abs=1e-15)
 
     def test_preserves_tv(self):
-        assert np.abs(_atoms(lift(F, 1, BASIS))[1]).sum() == tv_norm(F)
-        assert np.abs(_atoms(lift(F - G, 2, BASIS))[1]).sum() == tv_norm(F - G)
+        on_first = WeightedMeasure(BASIS, (F, delta(0)))
+        on_second = WeightedMeasure(BASIS, (delta(0), F - G))
+        assert np.abs(_atoms(on_first)[1]).sum() == tv_norm(F)
+        assert np.abs(_atoms(on_second)[1]).sum() == tv_norm(F - G)
 
     def test_char_fn_scaling(self):
-        # transform of the lift at t equals the lattice transform at w*t
+        # transform of the pushforward at t equals the lattice transform at w*t
         t = 1.0
-        values, masses = _atoms(lift(F, 2, BASIS))
+        values, masses = _atoms(WeightedMeasure(BASIS, (delta(0), F)))
         direct = char_fn(F, SQRT2 * t, 0.0, 0)
         via_values = np.sum(masses * np.exp(1j * t * values))
         assert abs(via_values - direct) <= 1e-12
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            lift(F, 3, BASIS)
 
-
-class TestWConvolve:
-    def test_identity(self):
-        a = lift(F, 1, BASIS)
-        ident = lift(delta(0), 1, BASIS)
-        out = wconvolve(a, ident)
-        assert wkolmogorov_distance(out, a) == 0.0
-
-    def test_mass_multiplies(self):
-        a = lift(F, 1, BASIS)
-        b = lift(G, 2, BASIS)
-        total = _atoms(wconvolve(a, b))[1].sum()
-        assert total == pytest.approx(
-            _atoms(a)[1].sum() * _atoms(b)[1].sum(), abs=1e-12
-        )
-
-    def test_basis_mismatch(self):
-        other = WeightBasis((1.0, 2.0))
-        with pytest.raises(ValueError):
-            wconvolve(lift(F, 1, BASIS), lift(G, 1, other))
-
+class TestWeightedMeasure:
     def test_budget_folds_like_lattice_convolution(self):
         a = from_entries({0: 0.25, 1: 0.75}, error_budget=1e-6)
         b = from_entries({0: -0.5, 2: 1.5}, error_budget=3e-7)
-        out = wconvolve(lift(a, 1, BASIS), lift(b, 2, BASIS))
+        out = WeightedMeasure(BASIS, (a, b))
         assert out.error_budget == convolve(a, b).error_budget
-
-    def test_lift_commutes_with_convolve(self):
-        # convolve on the lattice then lift == lift both then wconvolve
-        first = lift(power(F, 2), 2, BASIS)
-        second = wconvolve(lift(F, 2, BASIS), lift(F, 2, BASIS))
-        assert wkolmogorov_distance(first, second) <= 1e-12
 
 
 class TestWeightedSum:
@@ -358,16 +335,19 @@ class TestWeightedSum:
         ),
     )
     def test_factors_match_lift_wconvolve_fold(self, weights, drawn):
-        # The reference folds one lifted power per component with
-        # wconvolve, convolving every other weight's factor with delta(0).
-        # The laws are from_entries-trimmed, so those convolutions trim
-        # nothing and the factors agree bit for bit.
+        # The reference places one power per component on its weight, with
+        # delta(0) on the others, and folds the terms weight by weight with
+        # lattice convolve.  The laws are from_entries-trimmed, so the
+        # convolutions with delta(0) trim nothing and the factors agree bit
+        # for bit.
         basis = WeightBasis(weights)
         components = [(f, n, (i - 1) % basis.size + 1) for f, n, i in drawn]
         want = None
         for f, n, index in components:
-            term = lift(power(f, n), index, basis)
-            want = term if want is None else wconvolve(want, term)
+            term = [delta(0)] * basis.size
+            term[index - 1] = power(f, n)
+            want = term if want is None else list(map(convolve, want, term))
+        want = WeightedMeasure(basis, tuple(want))
         got = weighted_sum_distribution(components, basis)
         assert got.error_budget == want.error_budget
         for mine, ref in zip(got.factors, want.factors, strict=True):
@@ -387,8 +367,8 @@ class TestWKolmogorov:
 
     def test_reduces_to_lattice_case(self):
         basis = WeightBasis((1.0,))
-        a = lift(F, 1, basis)
-        b = lift(G, 1, basis)
+        a = WeightedMeasure(basis, (F,))
+        b = WeightedMeasure(basis, (G,))
         assert wkolmogorov_distance(a, b) == pytest.approx(
             kolmogorov_norm(F - G), abs=1e-15
         )
@@ -474,8 +454,8 @@ class TestWKolmogorov:
     def test_commensurable_weights_merge(self):
         # with weights (1, 2) the value grid collapses onto integers
         basis = WeightBasis((1.0, 2.0))
-        a = wconvolve(lift(delta(2), 1, basis), lift(delta(0), 2, basis))
-        b = wconvolve(lift(delta(0), 1, basis), lift(delta(1), 2, basis))
+        a = WeightedMeasure(basis, (delta(2), delta(0)))
+        b = WeightedMeasure(basis, (delta(0), delta(1)))
         assert wkolmogorov_distance(a, b) == 0.0
 
 
@@ -513,8 +493,8 @@ class TestUnionRoute:
     def test_one_point_box(self, other):
         # np.diff is empty, so the one point is the only cluster end; with
         # other = 0.0 the point is a's alone
-        a = lift(LatticeMeasure(np.array([2]), np.array([0.75])), 1, BASIS)
-        b = lift(LatticeMeasure(np.array([2]), np.array([other])), 1, BASIS)
+        a = _measure(BASIS.weights, ([2], [0.75]), ([0], [1.0]))
+        b = _measure(BASIS.weights, ([2], [other]), ([0], [1.0]))
         assert _box_size(a, b) == 1
         assert wkolmogorov_distance(a, b) == 0.75 - other
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
@@ -580,9 +560,8 @@ class TestUnionRoute:
         a = WeightedMeasure(BASIS, (F, zero))
         b = WeightedMeasure(BASIS, (zero, G))
         assert wkolmogorov_distance(a, b) == 0.0
-        assert wkolmogorov_distance(a, lift(G, 1, BASIS)) == _clustered_distance(
-            a, lift(G, 1, BASIS)
-        )
+        g_only = WeightedMeasure(BASIS, (G, delta(0)))
+        assert wkolmogorov_distance(a, g_only) == _clustered_distance(a, g_only)
 
     def test_underflowed_products_are_dropped(self):
         # every product of a underflows to 0.0, so its points are dropped;
@@ -590,28 +569,30 @@ class TestUnionRoute:
         # which must stay below the gaps between b's atoms
         tiny = LatticeMeasure(np.array([0, 10**9]), np.array([1e-170, 1e-170]))
         a = WeightedMeasure(BASIS, (tiny, from_entries({0: 1e-170})))
-        b = wconvolve(lift(F - G, 1, BASIS), lift(G, 2, BASIS))
+        b = WeightedMeasure(BASIS, (F - G, G))
         nothing = LatticeMeasure(np.array([]), np.array([]))
         empty = WeightedMeasure(BASIS, (nothing, delta(0)))
         assert wkolmogorov_distance(a, b) == wkolmogorov_distance(empty, b)
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
     def test_disjoint_supports(self):
-        a = wconvolve(lift(F, 1, BASIS), lift(F, 2, BASIS))
-        b = wconvolve(lift(delta(10), 1, BASIS), lift(delta(10), 2, BASIS))
+        a = WeightedMeasure(BASIS, (F, F))
+        b = WeightedMeasure(BASIS, (delta(10), delta(10)))
         assert wkolmogorov_distance(a, b) == pytest.approx(1.0, abs=1e-15)
         assert wkolmogorov_distance(a, b) == _clustered_distance(a, b)
 
     def test_basis_mismatch(self):
         other = WeightBasis((1.0, 2.0))
         with pytest.raises(ValueError):
-            wkolmogorov_distance(lift(F, 1, BASIS), lift(F, 1, other))
+            wkolmogorov_distance(
+                WeightedMeasure(BASIS, (F, delta(0))), WeightedMeasure(other, (F, delta(0)))
+            )
 
     def test_box_past_limit_raises(self):
         # 4001 atoms per operand, but the union box holds 4001 ** 2 points
         wide = from_entries({k: 1.0 / 4001 for k in range(4001)})
-        a = lift(wide, 1, BASIS)
-        b = lift(wide, 2, BASIS)
+        a = WeightedMeasure(BASIS, (wide, delta(0)))
+        b = WeightedMeasure(BASIS, (delta(0), wide))
         with pytest.raises(ResourceLimitError):
             wkolmogorov_distance(a, b)
 
@@ -916,6 +897,6 @@ class TestResourceGuard:
     def test_product_builds_but_reads_raise(self):
         # 4001 ** 2 lattice points: the product form is cheap, real values are not
         wide = from_entries({k: 1.0 / 4001 for k in range(4001)})
-        m = wconvolve(lift(wide, 1, BASIS), lift(wide, 2, BASIS))
+        m = WeightedMeasure(BASIS, (wide, wide))
         with pytest.raises(ResourceLimitError):
             wkolmogorov_distance(m, m)
