@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeMeasure, _integer, convolve, delta, exp_measure
+from .lattice import LatticeMeasure, _integer, _tail_tol, convolve, delta, exp_measure
 from .markov import mb_variance
 
 __all__ = [
@@ -88,12 +88,12 @@ def nb_component_pmf(
     The bound uses the stepwise mass ratio q_tilde (shape + k)/(k + 1),
     which is eventually below 1, so the running float total (whose own
     rounding noise grows with the shape) never gates termination.
+    ``tail_tol`` must be a finite positive number.
     """
     n = _integer(n, "component count n")
     if n < 1:
         raise ValueError("component count n must be >= 1")
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
+    tail_tol = _tail_tol(tail_tol)
     shape = params.r / n
     log_p = math.log(params.p_tilde)
     log_q = math.log(params.q_tilde)
@@ -161,14 +161,13 @@ def geometric_excess(p: float, q: float, tail_tol: float = 1e-10) -> LatticeMeas
 
     Total mass is 0 up to the truncated geometric tail p^K < tail_tol, which
     is recorded in the error budget.  ``p = 0`` gives exactly
-    delta(1) - delta(0).
+    delta(1) - delta(0).  ``tail_tol`` must be a finite positive number.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
     if abs(p + q - 1.0) > 1e-12:
         raise ValueError("q must equal 1 - p")
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
+    tail_tol = _tail_tol(tail_tol)
     if p == 0.0:
         return delta(1) - delta(0)
     cutoff = max(1, math.ceil(math.log(tail_tol) / math.log(p)))

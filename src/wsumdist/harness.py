@@ -469,10 +469,12 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
     coefficients; both are scaled by their weight and convolved across
     blocks.  Rows carry the distance, the structural factor, their ratio,
     all factor components, and the approximant's bookkeeping columns: the
-    signed-mass defect
-    |D(Z) - 1| and the gaps between D's first two moments and H's.  D's
-    coefficients match H's mean and exact variance, so both gaps are
-    truncation-level quantities; the columns show that they stay so.
+    signed-mass defect |D(Z) - 1|, the gaps between D's first two moments
+    and H's, and ``din_budget``, the sum of the chains' D error budgets.
+    D's coefficients match H's mean and exact variance, so both gaps are
+    truncation-level quantities; the columns show that they stay so, and
+    ``din_budget`` shows the series truncation behind them, which grows
+    with n.
     """
     if len(config.chains) != len(config.weights):
         raise ValueError("need exactly one (p, q_bar) chain per weight")
@@ -492,6 +494,7 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
         mass_defect = 0.0
         mean_gap = 0.0
         var_gap = 0.0
+        din_budget = 0.0
         for (p, q_bar), w, h in zip(config.chains, config.weights, h_parts):
             params = MBParams(p=p, q_bar=q_bar, n=n)
             pairs.append((params, w))
@@ -502,6 +505,7 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
             mass_defect += abs(d.total_mass - 1.0)
             mean_gap += abs(dm.mean - hm.mean)
             var_gap += abs(dm.variance - hm.variance)
+            din_budget += d.error_budget
         report = bound_markov(pairs, config.k0)
         # Each chain's law is one factor of the weighted measure.
         distance = wkolmogorov_distance(
@@ -515,6 +519,7 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
             ("mass_defect", mass_defect),
             ("mean_gap", mean_gap),
             ("variance_gap", var_gap),
+            ("din_budget", din_budget),
         )
         return head, report
 

@@ -375,6 +375,14 @@ def _step_power(sign: int, k: int) -> LatticeMeasure:
     return power(delta(sign) - delta(0), k)
 
 
+def _tail_tol(tail_tol) -> float:
+    """``tail_tol`` as a float; raises ValueError unless it is a finite
+    positive real (not a bool, which would run as 1.0)."""
+    if not (_is_a(tail_tol, numbers.Real) and 0.0 < tail_tol < math.inf):
+        raise ValueError("tail_tol must be a finite positive number")
+    return float(tail_tol)
+
+
 def exp_measure(m: LatticeMeasure, tail_tol: float = 1e-10) -> LatticeMeasure:
     """Exponential ``exp{m} = sum_k m^k / k!`` in the convolution algebra.
 
@@ -384,10 +392,11 @@ def exp_measure(m: LatticeMeasure, tail_tol: float = 1e-10) -> LatticeMeasure:
     halved (exactly, by powers of two) until the series is well conditioned
     and the result is squared back up, which keeps float cancellation out of
     the partial sums; the squaring steps propagate budgets like any other
-    convolution.
+    convolution.  ``_exp_series`` sums the cut series, in one dense buffer
+    unless that buffer would be far longer than the series has atom pairs.
+    ``tail_tol`` must be a finite positive number (ValueError otherwise).
     """
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
+    tail_tol = _tail_tol(tail_tol)
     nrm = m.tv
     if nrm == 0.0:
         return _with_budget(delta(0), m.error_budget)
@@ -402,6 +411,28 @@ def exp_measure(m: LatticeMeasure, tail_tol: float = 1e-10) -> LatticeMeasure:
 
 
 def _exp_series(m: LatticeMeasure, tail_tol: float) -> LatticeMeasure:
+    """``sum_{k<=K} m^k / k!`` with K from the tail rule, budget included.
+
+    Term k lives on [k lo, k hi] for m's support [lo, hi], so the partial
+    sum fits one dense buffer from min(0, K lo) to max(0, K hi).  m is laid
+    on its span once; each term is ``np.convolve(term, m) * (1/k)`` on
+    plain arrays, added into the buffer at its offset, and the buffer is
+    trimmed once at the end.  These are the float operations of the
+    term-by-term loop, which also trimmed every term and partial sum, so
+    results differ from it only where those trims dropped an atom.
+
+    The budget is the tail bound, plus the final trim, plus the input's
+    budget e propagated as exp(tv + e) - exp(tv): that bounds
+    sum_{k<=K} ((tv + e)^k - tv^k) / k!, the tv gap between the terms of m
+    and those of any measure within e of it, which is what the loop's
+    per-term ``convolve`` budgets add up to.
+
+    The buffer is used when its length is at most 2 K |m|^2 + 4096 points:
+    ``convolve``'s dense rule, with the series counted as K products of
+    |m|^2 atom pairs.  Far-apart atoms (0 and 10^6, say) would need a
+    buffer of K 10^6 points, so they keep the term-by-term loop of sparse
+    ``convolve``s, whose budgets propagate e term by term.
+    """
     nrm = m.tv
     term_norm = 1.0
     cutoff = 0
@@ -415,12 +446,27 @@ def _exp_series(m: LatticeMeasure, tail_tol: float) -> LatticeMeasure:
         cutoff += 1
         if cutoff > 10_000:
             raise RuntimeError("exponential series failed to converge")
-    acc = delta(0)
-    term = delta(0)
+    lo, hi = int(m.support[0]), int(m.support[-1])
+    base = min(0, cutoff * lo)
+    length = max(0, cutoff * hi) - base + 1
+    if length > 2 * cutoff * m.support.size**2 + 4096:
+        acc = term = delta(0)
+        for k in range(1, cutoff + 1):
+            term = convolve(term, m) * (1.0 / k)
+            acc = acc + term
+        return _with_budget(acc, tail_bound)
+    dense = np.zeros(hi - lo + 1)
+    dense[m.support - lo] = m.masses
+    acc = np.zeros(length)
+    acc[-base] = 1.0
+    term = np.ones(1)
     for k in range(1, cutoff + 1):
-        term = convolve(term, m) * (1.0 / k)
-        acc = acc + term
-    return _with_budget(acc, tail_bound)
+        term = np.convolve(term, dense) * (1.0 / k)
+        start = k * lo - base
+        acc[start : start + term.size] += term
+    inherited = math.exp(nrm) * math.expm1(m.error_budget)
+    pts = np.arange(base, base + length, dtype=np.int64)
+    return _trim(pts, acc, tail_bound + inherited)
 
 
 # -- norms and transforms -------------------------------------------------

@@ -143,6 +143,14 @@ class TestGeometricExcess:
         with pytest.raises(ValueError):
             geometric_excess(0.5, 0.4)
 
+    def test_rejects_bad_tol(self):
+        # True used to run as tol = 1.0, keeping a single geometric atom.
+        for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match="tail_tol"):
+                geometric_excess(0.5, 0.5, tol)
+            with pytest.raises(ValueError, match="tail_tol"):
+                nb_component_pmf(NegBinParams(r=5.0, p_tilde=0.4), 1, tol)
+
 
 class TestBuildDin:
     PARAMS = MBParams(p=0.3, q_bar=0.02, n=100)

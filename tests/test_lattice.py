@@ -13,6 +13,7 @@ from wsumdist.lattice import (
     LatticeMeasure,
     _factorial_moments,
     _sorted_union,
+    _with_budget,
     char_fn,
     concentration,
     convolve,
@@ -185,6 +186,37 @@ class TestConvolution:
         assert got.as_dict() == {-(10**6): 0.25, 0: 0.5, 10**6: 0.25}
 
 
+def _reference_exp(m: LatticeMeasure, tail_tol: float) -> LatticeMeasure:
+    """exp_measure summed term by term: per term one convolve, one scalar
+    multiply and one measure sum, each trimmed on its own."""
+    nrm = m.tv
+    if nrm == 0.0:
+        return _with_budget(delta(0), m.error_budget)
+    halvings = max(0, math.ceil(math.log2(nrm)))
+    if halvings:
+        m = m * (0.5**halvings)
+        tail_tol = tail_tol / 4.0 ** (halvings + 1)
+        nrm = m.tv
+    term_norm = 1.0
+    cutoff = 0
+    while True:
+        next_norm = term_norm * nrm / (cutoff + 1)
+        if cutoff + 2 > nrm:
+            tail_bound = next_norm / (1.0 - nrm / (cutoff + 2))
+            if tail_bound <= tail_tol:
+                break
+        term_norm = next_norm
+        cutoff += 1
+    acc = term = delta(0)
+    for k in range(1, cutoff + 1):
+        term = convolve(term, m) * (1.0 / k)
+        acc = acc + term
+    out = _with_budget(acc, tail_bound)
+    for _ in range(halvings):
+        out = convolve(out, out)
+    return out
+
+
 class TestExpMeasure:
     def test_exp_of_zero(self):
         zero = from_entries({})
@@ -211,8 +243,47 @@ class TestExpMeasure:
         assert tv_norm(out) <= math.exp(tv_norm(scaled)) + 1e-8
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            exp_measure(delta(1), 0.0)
+        # NaN used to run 10^4 cutoff steps and end in RuntimeError, and
+        # True ran as tol = 1.0.
+        for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf, True, "1e-10"):
+            with pytest.raises(ValueError, match="tail_tol"):
+                exp_measure(delta(1), tol)
+
+    @given(
+        measures(signed=True),
+        st.floats(min_value=0.1, max_value=2.0),
+        st.sampled_from([0.0, 1e-13, 1e-9]),
+        st.sampled_from([1e-6, 1e-10, 1e-16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_term_by_term_series(self, m, scale, budget, tol):
+        # Signed atoms on [-8, 8] scaled to tv up to 12 reach the halving
+        # path; a nonzero input budget exercises its propagation.
+        arg = _with_budget(m * scale, budget)
+        got = exp_measure(arg, tol)
+        want = _reference_exp(arg, tol)
+        # Both sum the same cut series; beyond their trims (in the
+        # budgets) they differ by rounding.  Each convolution rounds a
+        # result of tv t by at most its length times eps times t, each
+        # squaring at most doubles a relative error, and the tv is at
+        # most exp(tv(arg)).
+        tv = arg.tv + budget
+        eps = np.finfo(float).eps
+        rounding = 8.0 * max(1.0, tv) * (len(got) + len(want) + 64) * eps * math.exp(tv)
+        assert tv_norm(got - want) <= got.error_budget + want.error_budget + rounding
+        # The budget covers every argument within the input's budget, here
+        # arg with that much mass added at 0.
+        near = exp_measure(m * scale + from_entries({0: budget}), tol)
+        assert tv_norm(got - near) <= got.error_budget + near.error_budget + rounding
+
+    def test_far_apart_atoms_take_term_by_term_path(self):
+        # A dense buffer over 0..K*10^6 would hold about 10^7 floats; the
+        # term-by-term loop keeps the atoms k*10^6 only.
+        got = exp_measure(0.5 * (delta(10**6) - delta(0)), 1e-10)
+        ks = np.arange(len(got))
+        assert got.support.tolist() == (ks * 10**6).tolist()
+        want = math.exp(-0.5) * 0.5**ks / np.array([math.factorial(k) for k in ks])
+        assert tv_norm(got - from_entries(zip(ks * 10**6, want))) <= got.error_budget
 
 
 class TestNorms:
