@@ -156,8 +156,9 @@ class DinCoefficients:
     gamma: float
 
 
-def geometric_excess(p: float, q: float, tail_tol: float = 1e-10) -> LatticeMeasure:
-    """Centered geometric measure: mass q p^(k-1) at k >= 1 and -1 at 0.
+def geometric_excess(p: float, tail_tol: float = 1e-10) -> LatticeMeasure:
+    """Centered geometric measure: mass q p^(k-1) at k >= 1 and -1 at 0,
+    with q = 1 - p.
 
     Total mass is 0 up to the truncated geometric tail p^K < tail_tol, which
     is recorded in the error budget.  ``p = 0`` gives exactly
@@ -165,8 +166,7 @@ def geometric_excess(p: float, q: float, tail_tol: float = 1e-10) -> LatticeMeas
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
-    if abs(p + q - 1.0) > 1e-12:
-        raise ValueError("q must equal 1 - p")
+    q = 1.0 - p
     tail_tol = _tail_tol(tail_tol)
     if p == 0.0:
         return delta(1) - delta(0)
@@ -214,7 +214,7 @@ def build_din(params, tail_tol: float = 1e-10) -> tuple[DinCoefficients, Lattice
     a1 = gamma * (q_bar - p) / denom + n * gamma
     a2 = (a1 * (1.0 + p) - q * q * mb_variance(params)) / 2.0
     coeffs = DinCoefficients(a1=a1, a2=a2, gamma=gamma)
-    y = geometric_excess(p, q, tail_tol / 10.0)
+    y = geometric_excess(p, tail_tol / 10.0)
     argument = a1 * y - a2 * convolve(y, y)
     measure = exp_measure(argument, tail_tol / 10.0)
     return coeffs, measure

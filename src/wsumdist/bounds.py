@@ -426,6 +426,9 @@ def bound_markov(
         raise ValueError("need at least one block")
     warnings: list[str] = []
     weights = [w for _, w in pairs]
+    if not all(lattice._is_a(w, numbers.Real) for w in weights):
+        raise ValueError("weights must be real numbers")
+    weights = [float(w) for w in weights]
     if not all(w > 0.0 and math.isfinite(w) for w in weights):
         raise ValueError("weights must be positive and finite")
     components: dict[str, float] = {"factor.weight_ratio": _weight_ratio(weights)}

@@ -367,7 +367,7 @@ def _check_excess_charfn(rng: np.random.Generator) -> Clauses:
     q_bar = float(rng.uniform(max(n**-2.0, 0.002), 1.0 / 30.0))
     w = float(rng.choice([1.0, math.sqrt(2.0), 2.5]))
     params = MBParams(p=p, q_bar=q_bar, n=n)
-    y = geometric_excess(p, 1.0 - p, tail_tol=1e-12)
+    y = geometric_excess(p, tail_tol=1e-12)
     t = np.linspace(-math.pi / w, math.pi / w, GRID_POINTS)
     transform = char_fn(y, w * t)
     sin_half = np.sin(w * t / 2.0)

@@ -4,10 +4,8 @@ Subcommands: example, markov, nb, check, demo-intro, fit.  Every sweep and
 check run is driven by an ExperimentConfig assembled from the command's
 built-in defaults, then an optional --config JSON file, then explicit
 flags (later layers win).  A config file's kind, when present, must be
-the command's own.  Each command takes only the flags it reads: --config,
---out and --json everywhere; --n-grid on the four sweeps; --tail-tol on
-markov, nb and demo-intro; --seed and --count on check.  fit reads a
-sweep CSV and takes only --column, --json and --out.
+the command's own.  Each command takes only the flags it reads; _COMMANDS
+declares them, and fit reads a sweep CSV.
 Sweeps print a readable table by default or the full JSON payload with
 --json, and write the complete CSV table to --out; repeated runs with the
 same config and seed produce byte-identical CSV and JSON.
@@ -25,8 +23,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .checks import run_check
 from .harness import (
@@ -42,26 +39,64 @@ from .harness import (
 )
 from .weighted import ResourceLimitError
 
-# Each command's ExperimentConfig kind and the defaults where they differ
-# from ExperimentConfig's own.
-_COMMANDS: dict[str, tuple[str, dict]] = {
-    "example": (
-        "example",
-        {"n_grid": [16, 64, 256, 1024], "weights": [1.0, 2.0**0.5]},
-    ),
-    "markov": ("markov-sweep", {"n_grid": [50, 100, 200, 400]}),
-    "nb": ("nb-sweep", {"n_grid": [25, 100, 400, 1600], "tail_tol": 1e-13}),
-    "check": ("check", {}),
-    "demo-intro": ("demo-intro", {"n_grid": [4, 16, 64, 256]}),
-}
-_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n-grid {text!r}: {exc}") from exc
+
+
+class _Command(NamedTuple):
+    kind: str  # its ExperimentConfig kind
+    defaults: dict  # where they differ from ExperimentConfig's own
+    flags: tuple[str, ...]  # the config fields it takes as flags, see _FLAGS
+    help: str
+    sweep: Callable[[ExperimentConfig], SweepResult] | None  # None for check
+
+
+# The sweeps look the runners up in this module when they run, so a wrapper
+# set on cli.run_example or cli.run_markov sees the command's call.
+_COMMANDS: dict[str, _Command] = {
+    "example": _Command(
+        "example",
+        {"n_grid": [16, 64, 256, 1024], "weights": [1.0, 2.0**0.5]},
+        ("n_grid",),
+        "matched two-weight sweep: distance vs structural factor",
+        lambda cfg: run_example(cfg.n_grid, weights=cfg.weights, s=cfg.s),
+    ),
+    "markov": _Command(
+        "markov-sweep",
+        {"n_grid": [50, 100, 200, 400]},
+        ("n_grid", "tail_tol"),
+        "Markov-Binomial vs signed compound-geometric sweep",
+        lambda cfg: run_markov(cfg),
+    ),
+    "nb": _Command(
+        "nb-sweep",
+        {"n_grid": [25, 100, 400, 1600], "tail_tol": 1e-13},
+        ("n_grid", "tail_tol"),
+        "negative binomial matching sweep",
+        lambda cfg: run_nb(cfg.n_grid, tail_tol=cfg.tail_tol),
+    ),
+    "check": _Command(
+        "check", {}, ("seed", "count"), "seeded random-instance inequality suite", None
+    ),
+    "demo-intro": _Command(
+        "demo-intro",
+        {"n_grid": [4, 16, 64, 256]},
+        ("n_grid", "tail_tol"),
+        "two Poisson-plus-coin laws drifting together",
+        lambda cfg: demo_intro(cfg.n_grid, tail_tol=cfg.tail_tol),
+    ),
+}
+# Each config field a command may take as a flag: its parser and help line.
+_FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "n_grid": (_parse_grid, "comma-separated counts"),
+    "tail_tol": (float, "series truncation budget"),
+    "seed": (int, "master seed of the instances"),
+    "count": (int, "seeded instances per check family"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,50 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
             "approximants, and structural error-bound sweeps."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of ExperimentConfig fields")
-    common.add_argument("--out", help="write the full CSV table to this path")
-    common.add_argument(
-        "--json", action="store_true", help="print the JSON payload instead of text"
-    )
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument(
-        "--n-grid", type=_parse_grid, dest="n_grid", help="comma-separated counts"
-    )
-    tail = argparse.ArgumentParser(add_help=False)
-    tail.add_argument(
-        "--tail-tol", type=float, dest="tail_tol", help="series truncation budget"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "example",
-        parents=[common, grid],
-        help="matched two-weight sweep: distance vs structural factor",
-    )
-    sub.add_parser(
-        "markov",
-        parents=[common, grid, tail],
-        help="Markov-Binomial vs signed compound-geometric sweep",
-    )
-    sub.add_parser(
-        "nb",
-        parents=[common, grid, tail],
-        help="negative binomial matching sweep",
-    )
-    check = sub.add_parser(
-        "check",
-        parents=[common],
-        help="seeded random-instance inequality suite",
-    )
-    check.add_argument("--seed", type=int, help="master seed of the instances")
-    check.add_argument(
-        "--count", type=int, help="seeded instances per check family"
-    )
-    sub.add_parser(
-        "demo-intro",
-        parents=[common, grid, tail],
-        help="two Poisson-plus-coin laws drifting together",
-    )
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        cmd.add_argument("--config", help="JSON file of ExperimentConfig fields")
+        cmd.add_argument("--out", help="write the full CSV table to this path")
+        cmd.add_argument(
+            "--json", action="store_true", help="print the JSON payload instead of text"
+        )
+        for field in command.flags:
+            parse, text = _FLAGS[field]
+            cmd.add_argument("--" + field.replace("_", "-"), type=parse, help=text)
     fit = sub.add_parser("fit", help="log-log rate fit of a sweep CSV")
     fit.add_argument("csv_path", help="CSV with an n column and a value column")
     fit.add_argument(
@@ -130,22 +132,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    kind, defaults = _COMMANDS[args.command]
-    payload = {"kind": kind, **defaults}
+def _load_config(args: argparse.Namespace, command: _Command) -> ExperimentConfig:
+    payload = {"kind": command.kind, **command.defaults}
     if args.config:
         with open(args.config) as fh:
             file_payload = json.load(fh)
         if not isinstance(file_payload, dict):
             raise ValueError("config file must hold a JSON object")
-        if file_payload.get("kind", kind) != kind:
+        if file_payload.get("kind", command.kind) != command.kind:
             raise ValueError(
                 f"config kind {file_payload['kind']!r} does not match command "
-                f"{args.command!r} (kind {kind!r})"
+                f"{args.command!r} (kind {command.kind!r})"
             )
         payload.update(file_payload)
     # Flags win over the file; those not given are None.
-    payload.update({k: v for k, v in vars(args).items() if k in _FIELDS and v is not None})
+    flags = {name: getattr(args, name) for name in ("out", *command.flags)}
+    payload.update({k: v for k, v in flags.items() if v is not None})
     return ExperimentConfig.from_json_dict(payload)
 
 
@@ -212,18 +214,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "fit":
             return _run_fit(args)
-        cfg = _load_config(args)
-        if args.command == "check":
+        command = _COMMANDS[args.command]
+        cfg = _load_config(args, command)
+        if command.sweep is None:
             return _run_check_cmd(cfg, args.json)
-        if args.command == "example":
-            result = run_example(cfg.n_grid, weights=cfg.weights, s=cfg.s)
-        elif args.command == "markov":
-            result = run_markov(cfg)
-        elif args.command == "nb":
-            result = run_nb(cfg.n_grid, tail_tol=cfg.tail_tol)
-        else:
-            result = demo_intro(cfg.n_grid, tail_tol=cfg.tail_tol)
-        _emit_sweep(result, cfg, args.json)
+        _emit_sweep(command.sweep(cfg), cfg, args.json)
         return 0
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")

@@ -32,6 +32,7 @@ from .bounds import (
     bound_nb,
 )
 from .lattice import (
+    _grid,
     _integer,
     _is_a,
     convolve,
@@ -127,7 +128,8 @@ def fit_rate(points: Iterable[tuple[float, float]]) -> RateFit:
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    kind selects the sweep; n_grid must be strictly increasing.  chains
+    kind selects the sweep; n_grid is empty (check reads none) or a
+    strictly increasing run of integers >= 1, as every sweep needs.  chains
     holds one (p, q_bar) pair per weight for markov sweeps.  seed drives
     every randomized kind and count sizes the check suite; tail_tol is
     forwarded to all series truncations; out is an optional CSV path.
@@ -182,16 +184,12 @@ class ExperimentConfig:
                 f"bad config value: 'out' takes a path or null, got {self.out!r}"
             )
         put = partial(object.__setattr__, self)
-        put("n_grid", tuple(int(n) for n in self.n_grid))
+        put("n_grid", _grid(self.n_grid, "n_grid") if self.n_grid else ())
         put("weights", tuple(float(w) for w in self.weights))
         put("chains", tuple((float(p), float(qb)) for p, qb in self.chains))
         for name in ("s", "k0", "seed", "count"):
             put(name, int(getattr(self, name)))
         put("tail_tol", float(self.tail_tol))
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid entries must be >= 1")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
         if self.s < 1:
             raise ValueError("s must be >= 1")
         if self.k0 < 2:
@@ -208,18 +206,11 @@ class ExperimentConfig:
             raise ValueError("tail_tol must lie in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_grid": list(self.n_grid),
-            "s": self.s,
-            "k0": self.k0,
-            "weights": list(self.weights),
-            "chains": [list(pair) for pair in self.chains],
-            "seed": self.seed,
-            "count": self.count,
-            "tail_tol": self.tail_tol,
-            "out": self.out,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["n_grid"] = list(self.n_grid)
+        payload["weights"] = list(self.weights)
+        payload["chains"] = [list(pair) for pair in self.chains]
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -350,9 +341,7 @@ def _sweep(
     fit_column is fitted against n; a fit with fewer than three positive
     points is left out.
     """
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be nonempty")
+    grid = _grid(n_grid, "n_grid")
     rows = []
     warnings: list[str] = []
     for n in grid:
@@ -391,7 +380,7 @@ def _block_sizes(n: int, weights: Sequence[float]) -> list[int]:
 
 
 def run_example(
-    n_grid: Sequence[int] = (16, 64, 256, 1024),
+    n_grid: Sequence[int],
     *,
     weights: Sequence[float] = (1.0, SQRT2),
     s: int = 3,
@@ -411,8 +400,8 @@ def run_example(
     hypothesis warnings, and the fitted log-log rate of distance against n.
     """
     f, g = EXAMPLE_F, EXAMPLE_G
-    weights = tuple(float(w) for w in weights)
     basis = WeightBasis(weights)
+    weights = basis.weights
 
     s = _integer(s, "s")
     if s < 1:
@@ -535,7 +524,7 @@ def run_markov(config: ExperimentConfig) -> SweepResult:
 
 
 def run_nb(
-    n_grid: Sequence[int] = (25, 100, 400, 1600),
+    n_grid: Sequence[int],
     *,
     tail_tol: float = 1e-13,
 ) -> SweepResult:
@@ -574,7 +563,7 @@ def run_nb(
 
 
 def demo_intro(
-    n_grid: Sequence[int] = (4, 16, 64, 256),
+    n_grid: Sequence[int],
     *,
     tail_tol: float = 1e-10,
 ) -> SweepResult:

@@ -219,6 +219,22 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _grid(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; raises ValueError unless it is a
+    nonempty, strictly increasing run of integers >= 1."""
+    grid = tuple(values)
+    if not grid:
+        raise ValueError(f"{what} must be nonempty")
+    if not all(_is_a(n, numbers.Integral) for n in grid):
+        raise ValueError(f"{what} must be integers")
+    grid = tuple(int(n) for n in grid)
+    if grid[0] < 1:
+        raise ValueError(f"{what} must be >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return grid
+
+
 def _check_layout(support: np.ndarray, masses: np.ndarray, budget: float) -> None:
     if support.ndim != 1 or masses.ndim != 1 or support.size != masses.size:
         raise ValueError("support and masses must be 1-d arrays of equal length")
@@ -290,7 +306,7 @@ def _with_budget(m: LatticeMeasure, extra: float) -> LatticeMeasure:
 def delta(a: int) -> LatticeMeasure:
     """Unit point mass at the integer ``a``."""
     return LatticeMeasure._owned(
-        np.array([int(a)], dtype=np.int64), np.array([1.0]), 0.0
+        np.array([_integer(a, "point")], dtype=np.int64), np.array([1.0]), 0.0
     )
 
 

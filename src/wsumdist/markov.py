@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeMeasure, _integer, _is_a
+from .lattice import LatticeMeasure, _grid, _integer, _is_a
 
 __all__ = [
     "MBParams",
@@ -151,22 +151,13 @@ def mb_pmfs(
     3.3e-13 for (0.3, 0.02) and 6.6e-14 for (0.99, 0.001), where an n-step
     float DP errs by 1.9e-13 and 7.5e-15; all lie inside n eps = 2.2e-12.
     """
-    grid = list(horizons)
-    if not grid:
-        raise ValueError("horizons must be nonempty")
-    if not all(_is_a(n, numbers.Integral) for n in grid):
-        raise ValueError("horizons must be integers")
-    if grid[0] < 1:
-        raise ValueError("horizons must be >= 1")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("horizons must be strictly increasing")
+    grid = _grid(horizons, "horizons")
     chain = MBParams(p=p, q_bar=q_bar, n=grid[-1])
     p, q, q_bar, p_bar = chain.p, chain.q, chain.q_bar, chain.p_bar
     defect = max(abs(math.fsum((1.0, -p, -q))), abs(math.fsum((1.0, -q_bar, -p_bar))))
     squares = [(0, np.array([[[p_bar, 0.0], [q, 0.0]], [[0.0, q_bar], [0.0, p]]]), defect)]
     laws = []
     for n in grid:
-        n = int(n)
         state = (0, np.array([[[1.0]], [[0.0]]]), 0.0)
         for j in range(n.bit_length()):
             if j == len(squares):

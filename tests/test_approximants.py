@@ -109,11 +109,11 @@ class TestNbComponentPmf:
 
 class TestGeometricExcess:
     def test_zero_switch_limit(self):
-        y = geometric_excess(0.0, 1.0)
+        y = geometric_excess(0.0)
         assert tv_norm(y - (delta(1) - delta(0))) == 0.0
 
     def test_masses_and_total(self):
-        y = geometric_excess(0.5, 0.5, 1e-12)
+        y = geometric_excess(0.5, 1e-12)
         assert y.mass_at(0) == -1.0
         assert y.mass_at(1) == pytest.approx(0.5, abs=1e-15)
         assert y.mass_at(3) == pytest.approx(0.125, abs=1e-15)
@@ -123,7 +123,7 @@ class TestGeometricExcess:
 
     def test_transform_closed_form(self):
         p, q = 0.3, 0.7
-        y = geometric_excess(p, q, 1e-12)
+        y = geometric_excess(p, 1e-12)
         for t in np.linspace(-math.pi, math.pi, 100):
             want = q * np.exp(1j * t) / (1.0 - p * np.exp(1j * t)) - 1.0
             got = char_fn(y, float(t), 0.0, 0)
@@ -132,22 +132,18 @@ class TestGeometricExcess:
     def test_transform_envelopes(self):
         # modulus cap and the real-part decay cap, p capped at 1/2
         for p in (0.1, 0.3, 0.5):
-            y = geometric_excess(p, 1.0 - p, 1e-12)
+            y = geometric_excess(p, 1e-12)
             for t in np.linspace(-math.pi, math.pi, 100):
                 val = char_fn(y, float(t), 0.0, 0)
                 sin_half = math.sin(t / 2.0)
                 assert abs(val) <= 4.0 * abs(sin_half) + 1e-9
                 assert val.real <= -(4.0 / 3.0) * sin_half**2 + 1e-9
 
-    def test_mismatched_pq_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_excess(0.5, 0.4)
-
     def test_rejects_bad_tol(self):
         # True used to run as tol = 1.0, keeping a single geometric atom.
         for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf, True):
             with pytest.raises(ValueError, match="tail_tol"):
-                geometric_excess(0.5, 0.5, tol)
+                geometric_excess(0.5, tol)
             with pytest.raises(ValueError, match="tail_tol"):
                 nb_component_pmf(NegBinParams(r=5.0, p_tilde=0.4), 1, tol)
 

@@ -380,6 +380,11 @@ class TestBoundMarkov:
         for weight in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 bound_markov([(MBParams(p=0.3, q_bar=0.02, n=100), weight)])
+        # True would read as weight 1, and "2" would fail the range test
+        # with a TypeError.
+        for weight in (True, "2"):
+            with pytest.raises(ValueError, match="weights must be real numbers"):
+                bound_markov([(MBParams(p=0.3, q_bar=0.02, n=100), weight)])
 
 
 class TestFgGap:

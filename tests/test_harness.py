@@ -1,15 +1,22 @@
 """Experiment harness and CLI: configs, sweeps, rate fits, determinism."""
 
+import argparse
+import itertools
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wsumdist.cli import _COMMANDS, build_parser
 from wsumdist.harness import (
+    EXAMPLE_F,
+    EXAMPLE_G,
+    KINDS,
     DegenerateFitError,
     ExperimentConfig,
     RateFit,
@@ -20,6 +27,10 @@ from wsumdist.harness import (
     run_markov,
     run_nb,
 )
+from wsumdist.lattice import power
+from wsumdist.weighted import WeightBasis, WeightedMeasure, wkolmogorov_distance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # The two doors into a config: a JSON payload and the Python constructor.
@@ -234,6 +245,37 @@ class TestRunExample:
             run_example((16,), s=7)
         assert "not matched through order 7" in str(info.value)
 
+    def test_weights_type_checked(self):
+        # float() would read "1" and True as weight 1.0.
+        with pytest.raises(ValueError, match="weights must be real numbers"):
+            run_example((16, 64, 256), weights=("1", True))
+
+    def test_per_block_terms(self):
+        # a - b = (A1 - B1) x A2 + B1 x (A2 - B2) telescopes the distance
+        # into T0 = W(A1, A2) - W(B1, A2) and T1 = W(B1, A2) - W(B1, B2), so
+        # K(T0) + K(T1) >= K(a - b).  Inside the sum block 1 smooths block
+        # 0's difference: K(T0) falls about 2000-fold while n1 grows 8-fold.
+        grid = (16, 64, 256, 1024)
+        want = [
+            (5.0485e-3, 2.1975e-3),
+            (7.3428e-4, 4.8505e-4),
+            (2.8379e-5, 1.1910e-4),
+            (2.4238e-6, 2.9754e-5),
+        ]
+        basis = WeightBasis((1.0, math.sqrt(2.0)))
+        res = run_example(grid)
+        for n, n1, distance, (k0, k1) in zip(
+            grid, res.column("n1"), res.column("distance"), want
+        ):
+            a1, a2 = power(EXAMPLE_F, n1), power(EXAMPLE_F, n)
+            b1, b2 = power(EXAMPLE_G, n1), power(EXAMPLE_G, n)
+            hybrid = WeightedMeasure(basis, (b1, a2))
+            t0 = wkolmogorov_distance(WeightedMeasure(basis, (a1, a2)), hybrid)
+            t1 = wkolmogorov_distance(hybrid, WeightedMeasure(basis, (b1, b2)))
+            assert t0 + t1 >= distance
+            assert t0 == pytest.approx(k0, rel=1e-4)
+            assert t1 == pytest.approx(k1, rel=1e-4)
+
 
 class TestRunMarkov:
     def test_columns_and_anchors(self):
@@ -344,6 +386,23 @@ def test_empty_grid_rejected(sweep):
         sweep()
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ((16.7, 64), "n_grid must be integers"),
+        ((True, 4, 16), "n_grid must be integers"),
+        ((64, 16), "n_grid must be strictly increasing"),
+        ((0, 16), "n_grid must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("sweep", [run_example, run_nb, demo_intro])
+def test_bad_grid_rejected(sweep, grid, message):
+    # int() would run 16.7 as 16 and True as 1, and the sweep would run an
+    # unsorted grid in its own order.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep(grid)
+
+
 class TestDemoIntro:
     def test_distances_shrink(self):
         res = demo_intro((4, 16, 64))
@@ -435,6 +494,29 @@ class TestCli:
     )
     def test_command_rejects_flag_it_does_not_read(self, argv):
         assert _cli(*argv).returncode == 2
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("Each command takes only the flags it reads:\n", 1)[1]
+        lines = section.lstrip("\n").splitlines()
+        table = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+        stated = {}
+        for line in table[2:]:
+            commands, flags = line.strip("|").split("|")
+            for command in re.findall(r"`([\w-]+)`", commands):
+                stated[command] = set(re.findall(r"`(--[\w-]+)", flags))
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parsed = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert stated == parsed
+        assert sorted(command.kind for command in _COMMANDS.values()) == sorted(KINDS)
 
     @pytest.mark.parametrize("command", ["example", "markov", "nb", "demo-intro"])
     def test_config_echo_round_trip(self, tmp_path, command):

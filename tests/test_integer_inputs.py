@@ -18,7 +18,7 @@ from wsumdist.checks import gen_matched_pair, run_check
 from wsumdist.harness import EXAMPLE_F as F
 from wsumdist.harness import EXAMPLE_G as G
 from wsumdist.harness import run_example
-from wsumdist.lattice import factorial_moment, power
+from wsumdist.lattice import delta, factorial_moment, power
 from wsumdist.markov import MBParams, cond1_check, mb_simulate
 from wsumdist.weighted import WeightBasis, weighted_sum_distribution
 
@@ -35,6 +35,8 @@ COUNTS = {
     "component count n": lambda v: nb_component_pmf(nb_match(2.0, 3.0), v),
     "draws": lambda v: mb_simulate(CHAIN, v, 1),
     "count": lambda v: run_check(1, v),
+    # Not a count, but int() would put delta(2.7)'s mass at 2 the same way.
+    "point": lambda v: delta(v),
 }
 
 ORDERS = {
