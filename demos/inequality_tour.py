@@ -4,9 +4,10 @@ Randomized inequality tour
 
 Every structural inequality in the library is wrapped as a seeded check
 family over random instances: smoothing bounds for convolution norms,
-quadrature-verified inversion identities, moment-matched gap caps, and
-the transform envelopes of the geometric excess measure.  One seed fixes
-every instance, so a run is exactly reproducible.
+the Fourier inversion cap with its integrals summed exactly by Parseval,
+moment-matched gap caps, and the transform envelopes of the geometric
+excess measure.  One seed fixes every instance, so a run is exactly
+reproducible.
 """
 
 from wsumdist import (

@@ -12,11 +12,20 @@ the first two moments agree with the chain's.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeMeasure, _integer, _tail_tol, convolve, delta, exp_measure
+from .lattice import (
+    LatticeMeasure,
+    _integer,
+    _is_a,
+    _tail_tol,
+    convolve,
+    delta,
+    exp_measure,
+)
 from .markov import mb_variance
 
 __all__ = [
@@ -64,7 +73,10 @@ def nb_match(mean: float, variance: float) -> NegBinParams:
     """Negative binomial with the given mean and variance.
 
     Solves r = mean^2 / (variance - mean), p_tilde = mean / variance.
+    Both must be real numbers (not bools); ValueError otherwise.
     """
+    if not (_is_a(mean, numbers.Real) and _is_a(variance, numbers.Real)):
+        raise ValueError("mean and variance must be real numbers")
     if not (mean > 0.0):
         raise ValueError("mean must be positive")
     if variance <= mean:
@@ -162,8 +174,11 @@ def geometric_excess(p: float, tail_tol: float = 1e-10) -> LatticeMeasure:
 
     Total mass is 0 up to the truncated geometric tail p^K < tail_tol, which
     is recorded in the error budget.  ``p = 0`` gives exactly
-    delta(1) - delta(0).  ``tail_tol`` must be a finite positive number.
+    delta(1) - delta(0).  ``p`` must be a real number (not a bool) and
+    ``tail_tol`` a finite positive one; ValueError otherwise.
     """
+    if not _is_a(p, numbers.Real):
+        raise ValueError("p must be a real number")
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1)")
     q = 1.0 - p

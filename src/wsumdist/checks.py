@@ -9,7 +9,8 @@ serialized as JSON.
 
 The families cover: the smoothness bound on characteristic functions
 (mineka2), the centered derivative bound (roos), the Fourier inversion
-cap on total variation (inversion), concentration-function caps
+cap on total variation (inversion, whose integrals of |phi|^2 and
+|phi'|^2 are exact sums by Parseval), concentration-function caps
 (ac1, ac3), the factorial-moment expansion residual (expansion_residual),
 the moment-matched gap cap and its even-order refinement (matched_gap,
 matched_gap_sym), the geometric-excess transform bounds (excess_charfn), and the
@@ -27,8 +28,8 @@ Constants that do not depend on the draw are built on first use and then
 kept for the life of the process, never at import: the null-space basis
 of ``gen_matched_pair`` per order s, the convolution powers of
 delta(+-1) - delta(0) (``lattice._step_power``, shared with
-``bounds.lemma_fg_gap_sym``) and the inversion family's cos/sin table on
-its fixed grid.
+``bounds.lemma_fg_gap_sym``) and the fixed grids of mineka2, roos and
+excess_charfn with their draw-free factors.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ QUADRATURE_SLACK = 1e-6
 EXACT_SLACK = 1e-12
 RESIDUAL_SLACK = 1e-9
 MATCH_RETRIES = 1000
-# Random measures draw their points from [-_MAX_POINT, _MAX_POINT]; the
-# inversion table has one column per |k| in that range.
+# Random measures draw their points from [-_MAX_POINT, _MAX_POINT].
 _MAX_POINT = 8
 
 
@@ -122,19 +122,19 @@ def null_space(a: np.ndarray) -> np.ndarray:
 def _random_support(rng: np.random.Generator) -> np.ndarray:
     """2 to 8 distinct sorted points of [-_MAX_POINT, _MAX_POINT]."""
     size = int(rng.integers(2, 9))
-    return np.sort(rng.choice(
-        np.arange(-_MAX_POINT, _MAX_POINT + 1), size=size, replace=False
-    )).astype(np.int64)
+    picks = rng.choice(2 * _MAX_POINT + 1, size=size, replace=False)
+    picks.sort()
+    return picks - _MAX_POINT
 
 
 def _random_prob(rng: np.random.Generator) -> LatticeMeasure:
     support = _random_support(rng)
-    return LatticeMeasure(support, rng.dirichlet(np.ones(support.size)))
+    return LatticeMeasure._owned(support, rng.dirichlet(np.ones(support.size)), 0.0)
 
 
 def _random_signed(rng: np.random.Generator) -> LatticeMeasure:
     support = _random_support(rng)
-    return LatticeMeasure(support, rng.normal(0.0, 1.0, support.size))
+    return LatticeMeasure._owned(support, rng.normal(0.0, 1.0, support.size), 0.0)
 
 
 @functools.cache
@@ -168,19 +168,19 @@ def gen_matched_pair(
     for _ in range(MATCH_RETRIES):
         f_masses = rng.dirichlet(np.ones(9))
         direction = basis @ rng.normal(0.0, 1.0, basis.shape[1])
-        peak = np.max(np.abs(direction))
+        peak = np.abs(direction).max()
         if peak < 1e-12:
             continue
         negative = direction < -1e-15
         if not negative.any():
             continue
-        t_max = np.min(f_masses[negative] / -direction[negative])
+        t_max = (f_masses[negative] / -direction[negative]).min()
         t = rng.uniform(0.2, 0.9) * t_max
         g_masses = f_masses + t * direction
         if g_masses.min() < 0.0:
             continue
-        f = LatticeMeasure(support, f_masses)
-        g = LatticeMeasure(support, g_masses)
+        f = LatticeMeasure._owned(support, f_masses, 0.0)
+        g = LatticeMeasure._owned(support, g_masses, 0.0)
         if f.is_probability and g.is_probability:
             return f, g
     raise RetryExhaustedError(
@@ -214,30 +214,44 @@ def _clauses(lhs, rhs, slack, detail: Callable[[int], dict]) -> Clauses:
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ..."""
-    return np.column_stack((a, b)).ravel()
+    out = np.empty(2 * a.size)
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
 @functools.cache
-def _inversion_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inversion family's grid t on [-pi, pi] and cos(tk), sin(tk)
-    for k = 0.._MAX_POINT, one row per t and one column per k.  cos is
-    even and sin odd in k, so a point k < 0 reads column -k, sin with its
-    sign flipped."""
-    t = np.linspace(-math.pi, math.pi, SIMPSON_PANELS + 1)
-    x = np.multiply.outer(t, np.arange(_MAX_POINT + 1, dtype=np.float64))
-    table = (t, np.cos(x), np.sin(x))
-    for a in table:
+def _unit_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mineka2's and roos's grid t on [-pi, pi] with t^2, sin(t/2)^2 and
+    |sin(t/2)|."""
+    t = np.linspace(-math.pi, math.pi, GRID_POINTS)
+    sin_half = np.sin(t / 2.0)
+    return _frozen(t, t**2, sin_half**2, np.abs(sin_half))
+
+
+@functools.cache
+def _excess_grid(w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """excess_charfn's grid t on [-pi/w, pi/w], the phases w t, and the
+    right-hand sides 4|sin(w t/2)| and -(4/3) sin(w t/2)^2, interleaved."""
+    t = np.linspace(-math.pi / w, math.pi / w, GRID_POINTS)
+    sin_half = np.sin(w * t / 2.0)
+    rhs = _interleave(4.0 * np.abs(sin_half), -(4.0 / 3.0) * sin_half**2)
+    return _frozen(t, w * t, rhs)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
         a.setflags(write=False)
-    return table
+    return arrays
 
 
 def _check_mineka2(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     u = smoothness_u(f)
-    t = np.linspace(-math.pi, math.pi, GRID_POINTS)
+    t, t_sq, sin_sq, _ = _unit_grid()
     lhs = np.abs(char_fn(f, t))
-    mid = 1.0 - u * t**2 / (4.0 * math.pi)
-    rhs = np.exp(-u * np.sin(t / 2.0) ** 2 / math.pi)
+    mid = 1.0 - u * t_sq / (4.0 * math.pi)
+    rhs = np.exp(-u * sin_sq / math.pi)
     return _clauses(
         _interleave(lhs, mid),
         _interleave(mid, rhs),
@@ -249,9 +263,9 @@ def _check_mineka2(rng: np.random.Generator) -> Clauses:
 def _check_roos(rng: np.random.Generator) -> Clauses:
     f = _random_prob(rng)
     summary = moments(f)
-    t = np.linspace(-math.pi, math.pi, GRID_POINTS)
+    t, _, _, abs_sin = _unit_grid()
     lhs = np.abs(char_fn(f, t, center=summary.mean, order=1))
-    rhs = math.pi**2 * summary.variance * np.abs(np.sin(t / 2.0))
+    rhs = math.pi**2 * summary.variance * abs_sin
     return _clauses(
         lhs,
         rhs,
@@ -271,20 +285,15 @@ def _check_inversion(rng: np.random.Generator) -> Clauses:
         return _clauses([], [], [], lambda i: {})
     weights = np.abs(m.masses)
     center = float(m.support @ weights / weights.sum())
-    t, cos, sin = _inversion_table()
-    cos = cos[:, np.abs(m.support)]
-    sin = sin[:, np.abs(m.support)]
-    sign = np.sign(m.support)
-    base = np.hypot(cos @ m.masses, sin @ (sign * m.masses)) ** 2
-    # |sum_k (k - c) m{k} e^{itk}| is the order-1 char_fn modulus whatever
-    # the phase origin, so the same table serves the derivative term.
+    # phi(t) = sum_k m{k} e^{itk} is a trigonometric polynomial, so by
+    # Parseval (1/2pi) int_{-pi}^{pi} |phi|^2 = sum_k m{k}^2, and the
+    # centred derivative sum_k (k - c) m{k} e^{itk} gives sum_k ((k - c) m{k})^2.
     w = (m.support - center) * m.masses
-    deriv = np.hypot(sin @ (sign * w), cos @ w) ** 2
+    base = float(m.masses @ m.masses)
+    deriv = float(w @ w)
     bs = (1.0, 2.0)
     rhs = [
-        math.sqrt(1.0 + b * math.pi)
-        * math.sqrt(simpson(base + deriv / b**2, t) / (2.0 * math.pi))
-        for b in bs
+        math.sqrt(1.0 + b * math.pi) * math.sqrt(base + deriv / b**2) for b in bs
     ]
     return _clauses(
         [nrm, nrm],
@@ -368,9 +377,8 @@ def _check_excess_charfn(rng: np.random.Generator) -> Clauses:
     w = float(rng.choice([1.0, math.sqrt(2.0), 2.5]))
     params = MBParams(p=p, q_bar=q_bar, n=n)
     y = geometric_excess(p, tail_tol=1e-12)
-    t = np.linspace(-math.pi / w, math.pi / w, GRID_POINTS)
-    transform = char_fn(y, w * t)
-    sin_half = np.sin(w * t / 2.0)
+    t, phases, envelope = _excess_grid(w)
+    transform = char_fn(y, phases)
     gamma = params.q * q_bar / (params.q + q_bar)
     # Per t: |transform| <= 4|sin|, then the real part decays at least as
     # fast as -(4/3)sin^2 (tight at p = 1/2, tw = pi, exactly the regime's
@@ -378,12 +386,7 @@ def _check_excess_charfn(rng: np.random.Generator) -> Clauses:
     lhs = np.concatenate(
         [_interleave(np.abs(transform), transform.real), [q_bar / 2.0, gamma]]
     )
-    rhs = np.concatenate(
-        [
-            _interleave(4.0 * np.abs(sin_half), -(4.0 / 3.0) * sin_half**2),
-            [gamma, q_bar],
-        ]
-    )
+    rhs = np.concatenate([envelope, [gamma, q_bar]])
     slack = [RESIDUAL_SLACK] * (2 * t.size) + [EXACT_SLACK] * 2
 
     def detail(i: int) -> dict:
@@ -507,8 +510,12 @@ def run_check(
     of the master seed, so reports are deterministic per seed and
     independent of which families are selected.  ``corrupt`` names a
     selected family whose right-hand sides are forced to -1.0, a self-test
-    hook demonstrating failure reporting.
+    hook demonstrating failure reporting.  ``seed`` must be an integer
+    >= 0 and ``count`` one >= 1 (ValueError otherwise).
     """
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -541,17 +548,17 @@ def run_check(
             elif len(failures) < MAX_RECORDED_FAILURES:
                 failures.append(json.dumps(bad, sort_keys=True))
         results.append(CheckResult(name, passed, count - passed, tuple(failures)))
-    return CheckReport(seed=int(seed), count=count, results=tuple(results))
+    return CheckReport(seed=seed, count=count, results=tuple(results))
 
 
 def _first_failure(clauses: Clauses, corrupt: bool, instance: int) -> dict | None:
     """Record of instance's first clause with lhs > rhs + slack, or None.
     A corrupted family has every right-hand side forced to -1.0."""
     rhs = np.full(clauses.lhs.shape, -1.0) if corrupt else clauses.rhs
-    fails = np.flatnonzero(clauses.lhs > rhs + clauses.slack)
-    if fails.size == 0:
+    fails = clauses.lhs > rhs + clauses.slack
+    if not np.count_nonzero(fails):
         return None
-    i = int(fails[0])
+    i = int(fails.argmax())
     return {
         "instance": instance,
         "lhs": float(clauses.lhs[i]),

@@ -78,6 +78,8 @@ class LatticeMeasure:
     def __post_init__(self) -> None:
         s, m = _checked_input(self.support, self.masses)
         _check_layout(s, m, self.error_budget)
+        if np.count_nonzero(s[1:] <= s[:-1]):
+            raise ValueError("support must be strictly increasing")
         s.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "support", s)
@@ -88,8 +90,9 @@ class LatticeMeasure:
         cls, support: np.ndarray, masses: np.ndarray, budget: float
     ) -> "LatticeMeasure":
         """Wrap int64 and float64 arrays that the caller hands over and no
-        longer writes: the public constructor's shape, order and budget
-        checks, without its copy and its integrality and finiteness scans."""
+        longer writes, with a support it built strictly increasing: the
+        public constructor's shape and budget checks, without its copy and
+        its integrality, finiteness and order scans."""
         _check_layout(support, masses, budget)
         support.setflags(write=False)
         masses.setflags(write=False)
@@ -119,7 +122,7 @@ class LatticeMeasure:
         """
         if self.support.size == 0:
             return False
-        if np.any(self.masses < 0.0):
+        if self.masses.min() < 0.0:
             return False
         return abs(self.total_mass - 1.0) <= PROBABILITY_MASS_TOL + self.error_budget
 
@@ -154,21 +157,35 @@ class LatticeMeasure:
     # -- linear algebra ------------------------------------------------
 
     def __add__(self, other: "LatticeMeasure") -> "LatticeMeasure":
-        """Sum of measures: both sorted supports are merged into their
-        union, each side's masses are placed by ``searchsorted`` (shared
-        points add self's mass, then other's) and the result is trimmed."""
         if not isinstance(other, LatticeMeasure):
             return NotImplemented
-        union = _sorted_union(self.support, other.support)
-        out = np.zeros(union.size)
-        out[np.searchsorted(union, self.support)] = self.masses
-        out[np.searchsorted(union, other.support)] += other.masses
-        return _trim(union, out, self.error_budget + other.error_budget)
+        return self._plus(other.support, other.masses, other.error_budget)
 
     def __sub__(self, other: "LatticeMeasure") -> "LatticeMeasure":
+        """``self + (-1.0) * other`` without building the negated measure:
+        other's masses are negated and trimmed as ``*`` would trim them."""
         if not isinstance(other, LatticeMeasure):
             return NotImplemented
-        return self + (-1.0) * other
+        return self._plus(*_kept(other.support, -other.masses, other.error_budget))
+
+    def _plus(
+        self, support: np.ndarray, masses: np.ndarray, budget: float
+    ) -> "LatticeMeasure":
+        """Sum with the measure held in (support, masses, budget): both
+        sorted supports are merged into their union, each side's masses are
+        placed by ``searchsorted`` (shared points add self's mass, then
+        the other's) and the result is trimmed.  Equal supports skip the
+        union and add the masses in place."""
+        budget = self.error_budget + budget
+        if support is self.support or (
+            support.size == self.support.size and (support == self.support).all()
+        ):
+            return _trim(self.support, self.masses + masses, budget)
+        union = _sorted_union(self.support, support)
+        out = np.zeros(union.size)
+        out[union.searchsorted(self.support)] = self.masses
+        out[union.searchsorted(support)] += masses
+        return _trim(union, out, budget)
 
     def __neg__(self) -> "LatticeMeasure":
         return (-1.0) * self
@@ -238,9 +255,7 @@ def _grid(values, what: str) -> tuple[int, ...]:
 def _check_layout(support: np.ndarray, masses: np.ndarray, budget: float) -> None:
     if support.ndim != 1 or masses.ndim != 1 or support.size != masses.size:
         raise ValueError("support and masses must be 1-d arrays of equal length")
-    if np.count_nonzero(support[1:] <= support[:-1]):
-        raise ValueError("support must be strictly increasing")
-    if budget < 0.0 or not math.isfinite(budget):
+    if not 0.0 <= budget < math.inf:
         raise ValueError("error budget must be finite and nonnegative")
 
 
@@ -274,23 +289,38 @@ def _trim(support: np.ndarray, masses: np.ndarray, budget: float) -> LatticeMeas
     arrays they no longer write: fresh ones, or a measure's own read-only
     support.
     """
+    return LatticeMeasure._owned(*_kept(support, masses, budget))
+
+
+def _kept(
+    support: np.ndarray, masses: np.ndarray, budget: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_trim``'s arrays and budget, before they become a measure.
+
+    Above a positive floor every kept atom is nonzero, so one comparison
+    does; a zero floor keeps the nonzero atoms.  A NaN mass makes the
+    floor NaN and is dropped into the budget, which the measure refuses.
+    """
     if support.size:
         mag = np.abs(masses)
-        keep = (mag >= TRIM_RELATIVE * float(mag.sum())) & (masses != 0.0)
-        if not keep.all():
+        floor = TRIM_RELATIVE * float(mag.sum())
+        keep = mag >= floor if floor > 0.0 else mag > 0.0
+        if np.count_nonzero(keep) < keep.size:
             budget += float(mag[~keep].sum())
             support = support[keep]
             masses = masses[keep]
-    return LatticeMeasure._owned(support, masses, budget)
+    return support, masses, budget
 
 
 def _sorted_union(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of two integer arrays, as ``np.union1d``
     gives them; that goes through ``np.unique``, whose first call in a
     process imports ``numpy.ma``."""
-    both = np.sort(np.concatenate([x, y]))
-    keep = np.ones(both.size, dtype=bool)
-    keep[1:] = both[1:] != both[:-1]
+    both = np.concatenate((x, y))
+    both.sort()
+    keep = np.empty(both.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
     return both[keep]
 
 
@@ -547,17 +577,21 @@ def factorial_moment(f: LatticeMeasure, k: int, side: str = "plus") -> float:
 
 
 def _factorial_moments(f: LatticeMeasure, order: int, side: str) -> list[float]:
-    """``factorial_moment(f, k, side)`` for k = 1..order from one running
-    falling-factorial product over the tail.  Order k dots only the points
-    >= k, in support order, so its value does not depend on ``order``."""
+    """``factorial_moment(f, k, side)`` for k = 1..order from one
+    ``cumprod`` table whose row k - 1 holds the falling factorials
+    x (x - 1) ... (x - k + 1) of the tail's points x.  Order k dots only
+    the points x >= k, a run at the top of the support (plus) or at its
+    bottom (minus), in support order, so its value does not depend on
+    ``order``."""
     pts = (f.support if side == "plus" else -f.support).astype(np.float64)
-    weights = np.ones_like(pts)
-    out = []
-    for k in range(1, order + 1):
-        weights *= pts - (k - 1)
-        keep = pts >= k
-        out.append(float(weights[keep] @ f.masses[keep]))
-    return out
+    table = (pts - np.arange(order)[:, None]).cumprod(axis=0)
+    ks = np.arange(1, order + 1)
+    if side == "plus":
+        runs = [slice(i, None) for i in f.support.searchsorted(ks).tolist()]
+    else:
+        ends = f.support.searchsorted(-ks, side="right").tolist()
+        runs = [slice(None, i) for i in ends]
+    return [float(row[run] @ f.masses[run]) for row, run in zip(table, runs)]
 
 
 def _require_probability(f: LatticeMeasure, what: str) -> None:
@@ -616,7 +650,7 @@ def concentration(f: LatticeMeasure, h: float) -> float:
     if not (h >= 0.0):
         raise ValueError("window length h must be nonnegative")
     width = int(math.floor(h + 1e-12))
-    cum = np.cumsum(f.masses)
-    right = np.searchsorted(f.support, f.support + width, side="right") - 1
-    below_left = np.concatenate([[0.0], cum[:-1]])
-    return float(np.max(cum[right] - below_left))
+    cum = f.masses.cumsum()
+    right = f.support.searchsorted(f.support + width, side="right") - 1
+    below_left = np.concatenate(([0.0], cum[:-1]))
+    return float((cum[right] - below_left).max())

@@ -55,6 +55,18 @@ class TestNbMatch:
         assert params.mean == pytest.approx(mean, rel=1e-12)
         assert params.variance == pytest.approx(variance, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(True, 3.0), (2.0, True), ("2", 3.0), (2.0, "3"), (None, 3.0)],
+    )
+    def test_rejects_non_reals(self, mean, variance):
+        # True used to run as mean 1; a string failed in a comparison.
+        with pytest.raises(ValueError, match="^mean and variance must be real"):
+            nb_match(mean, variance)
+
+    def test_numpy_reals_accepted(self):
+        assert nb_match(np.float64(10.0), np.int64(15)) == nb_match(10.0, 15.0)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             NegBinParams(r=0.0, p_tilde=0.5)
@@ -138,6 +150,23 @@ class TestGeometricExcess:
                 sin_half = math.sin(t / 2.0)
                 assert abs(val) <= 4.0 * abs(sin_half) + 1e-9
                 assert val.real <= -(4.0 / 3.0) * sin_half**2 + 1e-9
+
+    @pytest.mark.parametrize("p", [False, True, "0.5", None, 0.5j])
+    def test_rejects_non_real_p(self, p):
+        # False used to run as p = 0, giving delta(1) - delta(0).
+        with pytest.raises(ValueError, match="^p must be a real number$"):
+            geometric_excess(p)
+
+    def test_numpy_real_p_accepted(self):
+        want = geometric_excess(0.25, 1e-12)
+        got = geometric_excess(np.float64(0.25), 1e-12)
+        assert got.masses.tobytes() == want.masses.tobytes()
+        assert got.error_budget == want.error_budget
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, math.nan])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\)$"):
+            geometric_excess(p)
 
     def test_rejects_bad_tol(self):
         # True used to run as tol = 1.0, keeping a single geometric atom.

@@ -1,12 +1,21 @@
-"""Seeded randomized inequality checks: registry, determinism, failure hooks."""
+"""Seeded randomized inequality checks: registry, determinism, failure hooks.
 
+Run as a script, this module prints the clause digests of
+``tests/data/check_clause_digests_seed1-3.json`` for the tree on
+PYTHONPATH (see ``TestClauseDigests``).
+"""
+
+import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsumdist import checks
 from wsumdist.checks import (
@@ -22,7 +31,7 @@ from wsumdist.checks import (
     run_check,
     simpson,
 )
-from wsumdist.lattice import factorial_moment, tv_norm
+from wsumdist.lattice import char_fn, factorial_moment, from_entries, tv_norm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -107,6 +116,16 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check(seed=1, count=5, corrupt="no_such_family")
 
+    def test_seed_must_be_nonnegative(self):
+        # numpy's own ValueError used to surface from SeedSequence.
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            run_check(-1, 2)
+
+    def test_numpy_integer_seed_reports_as_int(self):
+        report = run_check(np.int64(3), 2, names=["ac3"])
+        assert type(report.seed) is int
+        assert report == run_check(3, 2, names=["ac3"])
+
     def test_corrupt_target_must_be_selected(self):
         # Corrupting a family that does not run would test nothing.
         with pytest.raises(ValueError, match="not among the selected checks"):
@@ -174,28 +193,128 @@ class TestClauses:
         assert _first_failure(empty, corrupt=False, instance=0) is None
         assert _first_failure(empty, corrupt=True, instance=0) is None
 
-    def test_inversion_table_follows_draw_range(self, monkeypatch):
-        # A wider draw must widen the table, not index past it.
+    def test_wider_draw_passes_inversion(self, monkeypatch):
+        # inversion's sums hold for any support; a wider draw reaches past 8.
         monkeypatch.setattr(checks, "_MAX_POINT", 12)
-        checks._inversion_table.cache_clear()
-        try:
-            assert checks._inversion_table()[1].shape[1] == 13
-            report = run_check(1, 30, names=["inversion"])
-            assert report.ok, report.failures
-        finally:
-            checks._inversion_table.cache_clear()
+        reach = max(
+            int(np.abs(checks._random_support(np.random.default_rng(j))).max())
+            for j in range(30)
+        )
+        assert 8 < reach <= 12
+        report = run_check(1, 30, names=["inversion"])
+        assert report.ok, report.results[0].failures
 
     def test_tables_built_on_first_use(self):
         code = (
             "import wsumdist.cli, wsumdist.checks as c, wsumdist.lattice as l\n"
-            "print(c._inversion_table.cache_info().currsize,"
-            " c._matched_basis.cache_info().currsize,"
-            " l._step_power.cache_info().currsize)"
+            "print(c._matched_basis.cache_info().currsize,"
+            " l._step_power.cache_info().currsize,"
+            " c._unit_grid.cache_info().currsize,"
+            " c._excess_grid.cache_info().currsize)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["0", "0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
+DIGEST_SEEDS = (1, 2, 3)
+DIGEST_INSTANCES = 200
+
+
+def clause_digest(seed, name, count=DIGEST_INSTANCES):
+    """sha256 over the float.hex of every clause of instances 0..count-1,
+    one line per clause ("lhs rhs slack"), a blank line closing each
+    instance.  inversion's lines leave out rhs, whose sums moved to
+    Parseval by a few ulp; TestInversionParseval covers it."""
+    h = hashlib.sha256()
+    for j in range(count):
+        c = _instance_clauses(seed, name, j)
+        cols = (c.lhs, c.slack) if name == "inversion" else (c.lhs, c.rhs, c.slack)
+        for i in range(c.lhs.size):
+            h.update((" ".join(float(col[i]).hex() for col in cols) + "\n").encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def clause_digests():
+    return {
+        "instances": DIGEST_INSTANCES,
+        "seeds": {
+            str(seed): {name: clause_digest(seed, name) for name in CHECK_NAMES}
+            for seed in DIGEST_SEEDS
+        },
+    }
+
+
+class TestClauseDigests:
+    """Every clause bit of instances 0-199 of each family at seeds 1-3,
+    against digests recorded from the tree at commit 1d99f22 (before
+    inversion moved to Parseval and the measure algebra stopped re-scanning
+    its own supports) by
+
+        PYTHONPATH=src python tests/test_checks.py \\
+            > tests/data/check_clause_digests_seed1-3.json
+    """
+
+    @pytest.mark.parametrize("seed", DIGEST_SEEDS)
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_digest_matches_recorded(self, name, seed):
+        recorded = json.loads((DATA / "check_clause_digests_seed1-3.json").read_text())
+        assert recorded["instances"] == DIGEST_INSTANCES
+        assert clause_digest(seed, name) == recorded["seeds"][str(seed)][name]
+
+
+_FORMER_GRID = np.linspace(-math.pi, math.pi, 2049)
+
+
+def _simpson_inversion_sums(m, center, b):
+    """(1/2pi) int_{-pi}^{pi} (|phi|^2 + |phi'|^2 / b^2) dt by Simpson on
+    the 2049-point grid that inversion used before Parseval."""
+    base = np.abs(char_fn(m, _FORMER_GRID)) ** 2
+    deriv = np.abs(char_fn(m, _FORMER_GRID, center=center, order=1)) ** 2
+    return simpson(base + deriv / b**2, _FORMER_GRID) / (2.0 * math.pi)
+
+
+_SIGNED_ATOMS = st.lists(
+    st.tuples(
+        st.integers(min_value=-8, max_value=8),
+        st.floats(min_value=-1.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda pair: pair[0],
+)
+
+
+class TestInversionParseval:
+    """inversion's integrals are exact sums: the mean of |phi|^2 over a
+    period is sum_k m{k}^2, and the same holds for the centred derivative
+    sum_k (k - c) m{k} e^{itk}."""
+
+    @given(_SIGNED_ATOMS, st.floats(min_value=-8.0, max_value=8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_sums_match_simpson(self, atoms, center):
+        m = from_entries(atoms)
+        w = (m.support - center) * m.masses
+        for b in (1.0, 2.0):
+            parseval = float(m.masses @ m.masses) + float(w @ w) / b**2
+            assert parseval == pytest.approx(
+                _simpson_inversion_sums(m, center, b), rel=1e-12, abs=0.0
+            )
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_family_rhs_matches_simpson(self, seed):
+        c = checks._check_inversion(np.random.default_rng(seed))
+        for i, rhs in enumerate(c.rhs.tolist()):
+            detail = c.detail(i)
+            m = from_entries(detail["measure"])
+            b = detail["b"]
+            quadrature = math.sqrt(1.0 + b * math.pi) * math.sqrt(
+                _simpson_inversion_sums(m, detail["center"], b)
+            )
+            assert rhs == pytest.approx(quadrature, rel=1e-12, abs=0.0)
 
 
 class TestGenMatchedPair:
@@ -310,3 +429,7 @@ class TestNullSpace:
         for _ in range(200):
             a = rng.normal(0.0, 1.0, (int(rng.integers(1, 9)), 9))
             assert np.array_equal(null_space(a), scipy_linalg.null_space(a))
+
+
+if __name__ == "__main__":
+    print(json.dumps(clause_digests(), indent=1))

@@ -35,6 +35,7 @@ COUNTS = {
     "component count n": lambda v: nb_component_pmf(nb_match(2.0, 3.0), v),
     "draws": lambda v: mb_simulate(CHAIN, v, 1),
     "count": lambda v: run_check(1, v),
+    "seed": lambda v: run_check(v, 2),
     # Not a count, but int() would put delta(2.7)'s mass at 2 the same way.
     "point": lambda v: delta(v),
 }

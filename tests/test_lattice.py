@@ -29,7 +29,7 @@ from wsumdist.lattice import (
     smoothness_u,
     tv_norm,
 )
-from wsumdist.markov import MBParams, mb_pmf
+from wsumdist.markov import MBParams, mb_pmf, mb_pmfs
 
 F = from_entries({0: 0.375, 1: 0.5, 4: 0.125})
 G = from_entries({0: 0.45, 1: 0.25, 2: 0.25, 5: 0.05})
@@ -507,6 +507,70 @@ class TestSortFreeAlgebra:
         want = np.union1d(x, y)
         assert got.dtype == np.int64
         assert got.tobytes() == want.astype(np.int64).tobytes()
+
+
+def _assert_layout(m):
+    """A measure as ``LatticeMeasure._owned`` trusts it to be: int64 and
+    float64 1-d arrays of one length, the support strictly increasing."""
+    assert m.support.dtype == np.int64 and m.masses.dtype == np.float64
+    assert m.support.ndim == m.masses.ndim == 1
+    assert m.support.size == m.masses.size
+    assert (m.support[1:] > m.support[:-1]).all()
+
+
+# Stored zeros, subnormals and normal masses, nonnegative ones for laws.
+_LAW_MASSES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-18, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+)
+
+
+@st.composite
+def _raw_laws(draw):
+    """Probability measures on [-8, 8] built by hand, stored zeros kept."""
+    points = st.sets(st.integers(min_value=-8, max_value=8), min_size=1, max_size=8)
+    support = sorted(draw(points))
+    size = len(support)
+    masses = np.array(draw(st.lists(_LAW_MASSES, min_size=size, max_size=size)))
+    if masses.sum() == 0.0:
+        masses[0] = 1.0
+    return LatticeMeasure(np.array(support, dtype=np.int64), masses / masses.sum())
+
+
+_ANY_MEASURES = st.one_of(
+    _raw_laws(), _raw_measures(st.integers(min_value=-8, max_value=8))
+)
+
+
+class TestResultLayout:
+    """No operation's result is re-scanned for order when it is built, so
+    every result keeps a strictly increasing support by construction."""
+
+    @given(
+        _ANY_MEASURES, _ANY_MEASURES, st.sampled_from([0.0, -1.0, 0.3, 1e-300, 7])
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_algebra(self, a, b, c):
+        for out in (a + b, a - b, b - a, c * a, a * c, -b, convolve(a, b)):
+            _assert_layout(out)
+
+    @given(_ANY_MEASURES, st.integers(min_value=0, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_and_exp(self, a, n):
+        _assert_layout(power(a, n))
+        _assert_layout(exp_measure(a, tail_tol=1e-8))
+
+    @given(
+        st.floats(min_value=0.0, max_value=0.99),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.lists(
+            st.integers(min_value=1, max_value=300), min_size=1, max_size=4, unique=True
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mb_pmfs(self, p, q_bar, horizons):
+        for law in mb_pmfs(p, q_bar, sorted(horizons)):
+            _assert_layout(law)
 
 
 class TestFactorialMoments:
