@@ -7,11 +7,12 @@ acts weight by weight on the integer lattice, so it never loses support
 identity to float rounding.  A measure is only its factors: real values
 are formed only by the Kolmogorov distance, once, on the union of both
 laws' lattice points, one slab of value at a time from the lowest, so its
-memory does not grow with that union; it stops once the mass left above
-cannot lift a gap over the largest found, and raises ResourceLimitError
-past SUPPORT_LIMIT points.  Real values closer than the rounding error
-their float sums can carry are one location; values further apart are
-distinct, however close.
+memory does not grow with that union; each slab is ordered by a 16-bit
+radix pass and then by value.  The walk stops once the signed difference
+of the mass left above cannot lift a gap over the largest found, and it
+raises ResourceLimitError past SUPPORT_LIMIT points.  Real values closer
+than the rounding error their float sums can carry are one location;
+values further apart are distinct, however close.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ SUPPORT_LIMIT = 10**7
 # Points per slab, on average, when the distance walks its box in slabs of
 # value; the slabs' arrays are the only ones that grow with the box.
 _BLOCK = 2**14
+
+# The smallest value span a slab's sort scales to a 16-bit key; below it
+# 65535 / span could overflow.
+_KEY_SPAN_MIN = 2.0**-1000
 
 
 class ResourceLimitError(RuntimeError):
@@ -170,6 +175,27 @@ def _cut(row_v: np.ndarray, col_v: np.ndarray, bound: float) -> np.ndarray:
         cut += up
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, ordered by a 16-bit key first.
+
+    numpy's stable sort of the key floor(65535 (v - lo) / (hi - lo)) is a
+    radix sort, and the key is equal for equal values, -0.0 and 0.0
+    included, so equal values keep their index order through it.  A
+    stable argsort of the values in that order, composed with it, is then
+    the stable order itself; as the key never decreases as v grows, that
+    second sort meets a nearly sorted array.  A span that is zero, too
+    small to scale or overflows sorts the values at once.
+    """
+    lo = values.min()
+    span = float(values.max()) - float(lo)
+    if not _KEY_SPAN_MIN <= span < math.inf:
+        return np.argsort(values, kind="stable")
+    key = values - lo
+    key *= 65535.0 / span
+    first = np.argsort(key.astype(np.uint16), kind="stable")
+    return first[np.argsort(values[first], kind="stable")]
+
+
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     """Kolmogorov distance: sup over x of |(a - b)((-inf, x])|.
 
@@ -191,7 +217,9 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     the box is rows (every weight but the last) by columns (the last
     weight), and it is walked in slabs of value, equal-width ranges that
     hold about _BLOCK points each.  A slab is gathered, sorted and
-    accumulated on its own, so memory is O(rows + columns + _BLOCK).  Both
+    accumulated on its own, so memory is O(rows + columns + _BLOCK); its
+    sort is a radix pass on a 16-bit key of value, then a stable sort of
+    that nearly sorted order, which is the slab's stable order.  Both
     sides' masses ride in one complex array, a's real and b's imaginary.
     Its products are taken on the float parts, and complex zero tests and
     sums act part by part, so its one cumsum makes the float additions of
@@ -200,25 +228,33 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     The walk starts at the lowest slab and stops before the first slab
     whose remaining mass cannot reach the peak, the largest gap at a
     confirmed cluster end.  With A and B the running totals and d the
-    gap |A - B| after the last slab walked, r is the absolute mass at or
-    above the slab's lower bound: |row mass| times a suffix sum of
-    |column masses| from the row's cut, over the rows that meet the slab,
-    plus a suffix sum over the rows wholly above it.  The walk stops when
-    d + r + slack (d + r + |A| + |B|) + floor <= peak, with
+    gap |A - B| after the last slab walked, a later gap is d plus at most
+    the sum of |a_p - b_p| over the points p at or above the slab's lower
+    bound.  Two sums bound that.  r is the absolute mass, the sum of
+    |a_p| + |b_p|: |row mass| times a suffix sum of |column masses| from
+    the row's cut, over the rows that meet the slab, plus a suffix sum
+    over the rows wholly above it.  r_s is the signed mass: point
+    p = (i, j) has a_p - b_p = (ra_i - rb_i) ca_j + rb_i (ca_j - cb_j), so
+    r_s takes |ra_i - rb_i| times the suffix sum of |ca| and |rb_i| times
+    that of |ca - cb|, over the same rows.  The walk stops when
+    d + min(r, r_s) + slack (d + r + |A| + |B|) + floor <= peak, with
     slack = 2 (n + 8) eps and floor = 8 n eta for n box points and eta the
-    smallest subnormal.  Each later gap is at most d + r plus the rounding
-    of what follows, with u = eps / 2 and n u <= 1e-9 under SUPPORT_LIMIT:
-    the cumsum adds at most n terms to A and B, so it errs by at most
-    about n u (|A| + |B| + r); each mass is one rounded product, within
-    u relative and eta / 2 absolute of its exact value; and r sums
-    nonnegative terms in at most rows + columns + 4 <= n + 5 rounded steps
-    (at most four products per row, eta / 2 each), so it lies within about
-    (n + 5) u relative and 2 n eta absolute of their exact sum.  That is
-    less than half of the margin; the rest covers the rounding of the test
-    itself.  So no later gap exceeds the peak, nor does d, the gap still
-    pending, and the peak is the float the full walk returns.  Every number the
-    walk computes is the one a single sort of the whole box would give,
-    and the slabs it skips cannot change the maximum.
+    smallest subnormal.  With u = eps / 2 and n u <= 1.2e-9 under
+    SUPPORT_LIMIT, a later gap also carries these roundings: the cumsum
+    adds at most n terms to A and B, so it errs by at most about
+    n u (|A| + |B| + r); each mass is one rounded product, within u
+    relative and eta / 2 absolute of its exact value, which adds at most
+    u r + n eta; and r and r_s each sum nonnegative terms in at most
+    rows + columns + 6 <= n + 7 rounded steps (the differences and two
+    products per row, eta / 2 each), so each lies within about
+    (n + 7) u relative and n eta absolute of its exact sum, and
+    min(r, r_s) <= r.  With the final |.| that is at most
+    (2 n + 13) u (d + r + |A| + |B|) + 3 n eta, less than half of the
+    margin; the rest covers the rounding of the test itself.  So no later
+    gap exceeds the peak, nor does d, the gap still pending, and the peak
+    is the float the full walk returns.  Every number the walk computes is
+    the one a single sort of the whole box would give, and the slabs it
+    skips cannot change the maximum.
     """
     if a.basis.weights != b.basis.weights:
         raise ValueError("Kolmogorov distance requires a common basis")
@@ -272,15 +308,18 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     magnitude = sum(np.abs(union).max() * w for union, w in zip(unions, a.basis.weights))
     tol = 4 * len(unions) * eps * magnitude
 
-    # The absolute mass at or above a slab's lower bound (see the
-    # docstring): per row that meets the slab, |row mass| times the column
-    # suffix sum from its cut, plus above[top], every row from rank
-    # position top up.
-    abs_a, abs_b = np.abs(row_a), np.abs(row_b)
-    tail_a = np.append(np.cumsum(np.abs(col_a[::-1]))[::-1], 0.0)
-    tail_b = np.append(np.cumsum(np.abs(col_b[::-1]))[::-1], 0.0)
-    whole = (abs_a * tail_a[0] + abs_b * tail_b[0])[rank]
-    above = np.append(np.cumsum(whole[::-1])[::-1], 0.0)
+    # The absolute and the signed mass at or above a slab's lower bound
+    # (see the docstring): per row that meets the slab, row terms times
+    # column suffix sums from its cut, plus above[top], every row from
+    # rank position top up.  Column k of row_m pairs with column k of
+    # tail; the first two sum to the absolute mass, the last two to the
+    # signed one.
+    abs_b = np.abs(row_b)
+    row_m = np.stack((np.abs(row_a), abs_b, np.abs(row_a - row_b), abs_b), axis=1)
+    col_m = np.abs(np.stack((col_a, col_b, col_a, col_a - col_b), axis=1))
+    tail = np.append(np.cumsum(col_m[::-1], axis=0)[::-1], np.zeros((1, 4)), axis=0)
+    whole = (row_m * tail[0])[rank]
+    above = np.append(np.cumsum(whole[::-1], axis=0)[::-1], np.zeros((1, 4)), axis=0)
     slack = 2 * (count + 8) * eps
     floor = 8 * count * np.finfo(float).smallest_subnormal
 
@@ -288,13 +327,13 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     # a slab's products multiply the float parts of its rows' and columns'
     # masses pair by pair.  A slab gathers its rows' runs row by row in box
     # order, so its stable order is its part of the whole box's stable
-    # order.  Both sides accumulate in the same order, so the result is
-    # exactly symmetric in (a, b).  Slot 0 of the cumsum carries the
-    # previous slab's totals, and cumsum adds strictly in order, so the
-    # slabs give one cumsum's numbers; -0.0 starts each part, as -0.0 + x
-    # is x for every x.  A slab's last point is a cluster end once the next
-    # slab's first value lies more than tol above it, or when no slab
-    # follows.
+    # order, and a slab that meets one row is in that order already.  Both
+    # sides accumulate in the same order, so the result is exactly
+    # symmetric in (a, b).  Slot 0 of the cumsum carries the previous
+    # slab's totals, and cumsum adds strictly in order, so the slabs give
+    # one cumsum's numbers; -0.0 starts each part, as -0.0 + x is x for
+    # every x.  A slab's last point is a cluster end once the next slab's
+    # first value lies more than tol above it, or when no slab follows.
     row_ab = np.stack((row_a, row_b), axis=1).view(np.complex128).ravel()
     col_ab = np.stack((col_a, col_b), axis=1).view(np.complex128).ravel()
     total = complex(-0.0, -0.0)
@@ -304,9 +343,10 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
         top = np.searchsorted(row_low, upper)
         rows = np.sort(rank[np.searchsorted(row_high, lower) : top])
         start = cuts[rows]
-        rest = (abs_a[rows] * tail_a[start] + abs_b[rows] * tail_b[start]).sum() + above[top]
+        mass_a, mass_b, diff_a, diff_b = (row_m[rows] * tail[start]).sum(axis=0) + above[top]
+        rest, signed = mass_a + mass_b, diff_a + diff_b
         carried = abs(total.real) + abs(total.imag)
-        if pending + rest + (slack * (pending + rest + carried) + floor) <= peak:
+        if pending + min(rest, signed) + (slack * (pending + rest + carried) + floor) <= peak:
             break
         rows_v = row_v[rows]
         stop = _cut(rows_v, col_v, upper)
@@ -322,11 +362,12 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
             continue
         if not keep.all():
             values, mass = values[keep], mass[keep]
-        order = np.argsort(values, kind="stable")
-        values = values[order]
+        if rows.size > 1:
+            order = _stable_order(values)
+            values, mass = values[order], mass[order]
         if values[0] - last > tol:
             peak = np.maximum(peak, pending)
-        cdf = np.concatenate(([total], mass[order]))
+        cdf = np.concatenate(([total], mass))
         np.cumsum(cdf, out=cdf)
         gaps = np.abs(cdf.real[1:] - cdf.imag[1:])
         peak = np.maximum(peak, np.max(gaps[:-1][np.diff(values) > tol], initial=0.0))

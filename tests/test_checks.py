@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsumdist import checks
@@ -276,6 +276,22 @@ def _simpson_inversion_sums(m, center, b):
     return simpson(base + deriv / b**2, _FORMER_GRID) / (2.0 * math.pi)
 
 
+# Below the normal range a relative bound says nothing: each rounded
+# square, product, quotient or sum whose result is subnormal errs by up to
+# eta / 2 absolute, eta the smallest subnormal.  The Simpson reference
+# rounds 4 such steps per grid point (the squares of |phi| and |phi'|, the
+# quotient by b**2 and their sum) and 7 per panel (3 weight products, the
+# panel factor and 3 sums); the Parseval sums round 3 per atom (the square,
+# the product (k - c) m{k} and its square) and 3 more (the quotient and
+# two sums).  The quadrature weights and 1 / 2pi are below 1, so one
+# eta / 2 per step covers them; rounding in phi itself moves the squares
+# by about 2 |phi| eta, far below eta when the squares are subnormal.
+_SUBNORMAL_ABS = (
+    (4 * _FORMER_GRID.size + 7 * (_FORMER_GRID.size // 2) + 3 * 8 + 3)
+    * np.finfo(float).smallest_subnormal
+    / 2
+)
+
 _SIGNED_ATOMS = st.lists(
     st.tuples(
         st.integers(min_value=-8, max_value=8),
@@ -293,14 +309,18 @@ class TestInversionParseval:
     sum_k (k - c) m{k} e^{itk}."""
 
     @given(_SIGNED_ATOMS, st.floats(min_value=-8.0, max_value=8.0))
+    @example(atoms=[(0, 1.8313407175871794e-162)], center=0.0)
+    @example(atoms=[(0, 9.60753188380828e-159)], center=0.0)
     @settings(max_examples=150, deadline=None)
     def test_sums_match_simpson(self, atoms, center):
+        # the examples' squares are subnormal: Parseval rounds them
+        # correctly, Simpson's steps lose them to underflow
         m = from_entries(atoms)
         w = (m.support - center) * m.masses
         for b in (1.0, 2.0):
             parseval = float(m.masses @ m.masses) + float(w @ w) / b**2
             assert parseval == pytest.approx(
-                _simpson_inversion_sums(m, center, b), rel=1e-12, abs=0.0
+                _simpson_inversion_sums(m, center, b), rel=1e-12, abs=_SUBNORMAL_ABS
             )
 
     @given(st.integers(min_value=0, max_value=2**32))

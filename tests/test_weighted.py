@@ -806,13 +806,14 @@ class TestEarlyExit:
         assert got == _out_of_place_distance(a, b)
 
     def test_example_pair_stops_early(self):
-        # run_example's n = 65536 pair: 316 x 4871 points in 94 slabs, of
-        # which the walk visits 76 (82 % of the points)
+        # run_example's n = 65536 pair: 316 x 4871 points in 94 slabs; the
+        # peak gap lies in slab 42, and the signed mass left above stops
+        # the walk after 66
         s_law = weighted_sum_distribution([(EXAMPLE_F, 256, 1), (EXAMPLE_F, 65536, 2)], BASIS)
         z_law = weighted_sum_distribution([(EXAMPLE_G, 256, 1), (EXAMPLE_G, 65536, 2)], BASIS)
         got, slabs, walked = _walk(s_law, z_law, weighted._BLOCK)
         assert slabs == 94
-        assert walked < slabs
+        assert walked == 66
         assert got.hex() == "0x1.fed187de80000p-22"
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 2**14])
@@ -857,6 +858,83 @@ class TestEarlyExit:
         assert walked == slabs == 5
         assert got == _out_of_place_distance(a, b)
         assert got == 2.0**-40 + 3 * 2.0**-53
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_signed_mass_within_margin_of_peak(self, block):
+        # the case above with M = 2**-50 added to both laws at 2, 3 and 4:
+        # the absolute mass left is 3 (2 M + m), the signed one 3 m, 2**-70
+        # short of the peak with the gap.  a's total still rounds up by a
+        # half ulp of 3/4 at each point while b's adds M exactly, so only
+        # the margin keeps the walk going
+        m, big = 2.0**-54 + 2.0**-60, 2.0**-50
+        a = _measure(
+            (1.0,), ([0, 1, 2, 3, 4], [2.0**-40 + 3 * m + 2.0**-70, 0.75] + [m + big] * 3)
+        )
+        b = _measure((1.0,), ([1, 2, 3, 4], [0.75 + 2.0**-52] + [big] * 3))
+        got, slabs, walked = _walk(a, b, block)
+        assert walked == slabs
+        assert got == _out_of_place_distance(a, b)
+        assert got == 2.0**-40 + 3 * 2.0**-53
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_signed_mass_stops_walk(self, block):
+        # the gap is 0.25 after 0 and 0.15 after 1; both laws put 0.125 on
+        # each of 2, 3 and 4.  The absolute mass left, 0.75 before 2 and
+        # 0.25 before 4, lifts 0.15 over the peak at every slab, but the
+        # signed mass is 0, so one point per slab stops after two
+        a = _measure((1.0,), ([0, 1, 2, 3, 4], [0.5, 0.1, 0.125, 0.125, 0.125]))
+        b = _measure((1.0,), ([0, 1, 2, 3, 4], [0.25, 0.2, 0.125, 0.125, 0.125]))
+        got, slabs, walked = _walk(a, b, block)
+        assert got == _out_of_place_distance(a, b) == 0.25
+        assert walked <= slabs
+        if block == 1:
+            assert (slabs, walked) == (5, 2)
+
+
+# Values whose stable order the slab sort must reproduce: repeats, -0.0
+# beside 0.0, subnormal and overflowing spans, and infinities.
+SORT_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308]),
+)
+
+
+class TestSlabOrder:
+    """A slab is ordered by a 16-bit key, then by value; the composed
+    permutation must be the stable argsort itself."""
+
+    @given(
+        st.lists(SORT_VALUES, min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), min_size=1, max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, pool, picks):
+        # indices into a small pool make repeats likely
+        values = np.array([pool[i % len(pool)] for i in picks])
+        assert weighted._stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.5],
+            [3.0] * 5,
+            [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+            [-0.0, 0.0, -0.0],
+            [1e-320, 0.0, 5e-324, 1e-320, -5e-324],
+            [1.7e308, -1.7e308, 0.0, 1.7e308, -1.7e308],
+            [1.0, 1.0 + 2**-52, 1.0, 1.0 + 2**-52, 1.0 + 2**-51],
+            [np.inf, 1.0, -np.inf, 1.0, np.inf],
+        ],
+    )
+    def test_edge_cases(self, values):
+        values = np.array(values)
+        assert weighted._stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
+
+    def test_rows_of_runs(self):
+        # a slab's shape: 300 sorted runs of nearby values, with ties
+        rng = np.random.default_rng(5)
+        values = np.concatenate([np.sort(rng.integers(0, 2000, 50) * 0.1) for _ in range(300)])
+        assert weighted._stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
 
 
 class TestMemory:
