@@ -175,6 +175,15 @@ def _cut(row_v: np.ndarray, col_v: np.ndarray, bound: float) -> np.ndarray:
         cut += up
 
 
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """Row k sums rows k, k + 1, ... of ``terms``, added from the last;
+    a row of zeros follows.  The sums are written in place, so only the
+    result outlives the call."""
+    sums = np.zeros((terms.shape[0] + 1, terms.shape[1]))
+    np.cumsum(terms[::-1], axis=0, out=sums[-2::-1])
+    return sums
+
+
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")``, ordered by a 16-bit key first.
 
@@ -193,7 +202,8 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     key = values - lo
     key *= 65535.0 / span
     first = np.argsort(key.astype(np.uint16), kind="stable")
-    return first[np.argsort(values[first], kind="stable")]
+    # key's buffer takes the values in that order
+    return first[np.argsort(np.take(values, first, out=key), kind="stable")]
 
 
 def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
@@ -316,10 +326,8 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     # signed one.
     abs_b = np.abs(row_b)
     row_m = np.stack((np.abs(row_a), abs_b, np.abs(row_a - row_b), abs_b), axis=1)
-    col_m = np.abs(np.stack((col_a, col_b, col_a, col_a - col_b), axis=1))
-    tail = np.append(np.cumsum(col_m[::-1], axis=0)[::-1], np.zeros((1, 4)), axis=0)
-    whole = (row_m * tail[0])[rank]
-    above = np.append(np.cumsum(whole[::-1], axis=0)[::-1], np.zeros((1, 4)), axis=0)
+    tail = _suffix_sums(np.abs(np.stack((col_a, col_b, col_a, col_a - col_b), axis=1)))
+    above = _suffix_sums((row_m * tail[0])[rank])
     slack = 2 * (count + 8) * eps
     floor = 8 * count * np.finfo(float).smallest_subnormal
 
@@ -327,9 +335,8 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
     # a slab's products multiply the float parts of its rows' and columns'
     # masses pair by pair.  A slab gathers its rows' runs row by row in box
     # order, so its stable order is its part of the whole box's stable
-    # order, and a slab that meets one row is in that order already.  Both
-    # sides accumulate in the same order, so the result is exactly
-    # symmetric in (a, b).  Slot 0 of the cumsum carries the previous
+    # order.  Both sides accumulate in the same order, so the result is
+    # exactly symmetric in (a, b).  Slot 0 of the cumsum carries the previous
     # slab's totals, and cumsum adds strictly in order, so the slabs give
     # one cumsum's numbers; -0.0 starts each part, as -0.0 + x is x for
     # every x.  A slab's last point is a cluster end once the next slab's
@@ -362,9 +369,8 @@ def wkolmogorov_distance(a: WeightedMeasure, b: WeightedMeasure) -> float:
             continue
         if not keep.all():
             values, mass = values[keep], mass[keep]
-        if rows.size > 1:
-            order = _stable_order(values)
-            values, mass = values[order], mass[order]
+        order = _stable_order(values)
+        values, mass = values[order], mass[order]
         if values[0] - last > tol:
             peak = np.maximum(peak, pending)
         cdf = np.concatenate(([total], mass))

@@ -876,19 +876,20 @@ class TestEarlyExit:
         assert got == _out_of_place_distance(a, b)
         assert got == 2.0**-40 + 3 * 2.0**-53
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_signed_mass_stops_walk(self, block):
-        # the gap is 0.25 after 0 and 0.15 after 1; both laws put 0.125 on
-        # each of 2, 3 and 4.  The absolute mass left, 0.75 before 2 and
-        # 0.25 before 4, lifts 0.15 over the peak at every slab, but the
-        # signed mass is 0, so one point per slab stops after two
-        a = _measure((1.0,), ([0, 1, 2, 3, 4], [0.5, 0.1, 0.125, 0.125, 0.125]))
-        b = _measure((1.0,), ([0, 1, 2, 3, 4], [0.25, 0.2, 0.125, 0.125, 0.125]))
+    @pytest.mark.parametrize(
+        ("block", "slabs_walked"), [(1, (16, 2)), (2, (8, 1)), (3, (6, 1)), (7, (3, 1))]
+    )
+    def test_signed_mass_stops_walk(self, block, slabs_walked):
+        # the gap is 0.25 after 0 and 0.15 after 1; both laws put 1/16 on
+        # each of 2, ..., 15.  The absolute mass left, at least 1/8 before
+        # 15, lifts 0.15 over the peak at every slab, so it would walk them
+        # all, but the signed mass is 0: the walk stops after the first
+        # slab that holds 1
+        a = _measure((1.0,), (list(range(16)), [0.5, 0.1] + [0.0625] * 14))
+        b = _measure((1.0,), (list(range(16)), [0.25, 0.2] + [0.0625] * 14))
         got, slabs, walked = _walk(a, b, block)
         assert got == _out_of_place_distance(a, b) == 0.25
-        assert walked <= slabs
-        if block == 1:
-            assert (slabs, walked) == (5, 2)
+        assert (slabs, walked) == slabs_walked
 
 
 # Values whose stable order the slab sort must reproduce: repeats, -0.0
