@@ -41,6 +41,7 @@ from .lattice import (
     from_entries,
     kolmogorov_norm,
     moments,
+    powers,
     signed_moments,
     smoothness_u,
 )
@@ -48,7 +49,6 @@ from .markov import MBParams, mb_pmfs
 from .weighted import (
     WeightBasis,
     WeightedMeasure,
-    weighted_sum_distribution,
     wkolmogorov_distance,
 )
 
@@ -391,7 +391,10 @@ def run_example(
     For each n the two laws are built summand-for-summand: block i holds
     n_i independent copies of F = EXAMPLE_F (resp. G = EXAMPLE_G) scaled by
     weight w_i, with n_1 = ceil(sqrt(n)) and n_2 = n under the default
-    two-weight layout.
+    two-weight layout.  The block laws F^(*n_i) and G^(*n_i) of the whole
+    grid come from one chain of squares each (``powers``, as ``mb_pmfs``
+    squares once for the Markov laws), and each law is the product of its
+    set-bit squares, so it does not depend on the rest of the grid.
     The prelude verifies the fixture prerequisites before any distance is
     computed: order-s factorial-moment matching, beta_{s+1}, smoothness u,
     and the value of the classical overlap criterion (negative here, so
@@ -417,6 +420,13 @@ def run_example(
     prelude["u"] = smoothness_u(f, g)
     prelude["overlap_criterion"] = nu_f[0] - nu_f[1] - nu_f[0] ** 2
 
+    # Each block law is dropped after the last row that uses it.
+    grid = _grid(n_grid, "n_grid")
+    last = {size: n for n in grid for size in _block_sizes(n, weights)}
+    counts = tuple(last)
+    f_laws = dict(zip(counts, powers(f, counts)))
+    g_laws = dict(zip(counts, powers(g, counts)))
+
     def row(n: int) -> tuple[Headline, BoundReport]:
         sizes = _block_sizes(n, weights)
         blocks = [
@@ -428,12 +438,11 @@ def run_example(
             raise ValueError(
                 "; ".join((f"n={n}: structural factor is 0", *report.warnings))
             )
-        s_law = weighted_sum_distribution(
-            [(f, size, i + 1) for i, size in enumerate(sizes)], basis
-        )
-        z_law = weighted_sum_distribution(
-            [(g, size, i + 1) for i, size in enumerate(sizes)], basis
-        )
+        s_law = WeightedMeasure(basis, tuple(f_laws[size] for size in sizes))
+        z_law = WeightedMeasure(basis, tuple(g_laws[size] for size in sizes))
+        for size in set(sizes):
+            if last[size] == n:
+                del f_laws[size], g_laws[size]
         distance = wkolmogorov_distance(s_law, z_law)
         head = (
             ("n1", sizes[0]),
@@ -444,7 +453,7 @@ def run_example(
         )
         return head, report
 
-    return _sweep("example", n_grid, row, prelude)
+    return _sweep("example", grid, row, prelude)
 
 
 def run_markov(config: ExperimentConfig) -> SweepResult:

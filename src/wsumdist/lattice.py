@@ -34,6 +34,7 @@ __all__ = [
     "from_json_dict",
     "convolve",
     "power",
+    "powers",
     "exp_measure",
     "tv_norm",
     "kolmogorov_norm",
@@ -399,19 +400,34 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
 
 
 def power(a: LatticeMeasure, n: int) -> LatticeMeasure:
-    """n-fold convolution power via binary exponentiation; ``n = 0`` is delta(0)."""
-    n = _integer(n, "convolution power n")
-    if n < 0:
+    """n-fold convolution power, :func:`powers` at the one count n; ``n = 0``
+    is delta(0)."""
+    return powers(a, (n,))[0]
+
+
+def powers(a: LatticeMeasure, counts: Iterable[int]) -> tuple[LatticeMeasure, ...]:
+    """The n-fold convolution powers of ``a`` for each n of ``counts``, in
+    the order given; ``n = 0`` gives delta(0).
+
+    The squares a^(2^j) are built once, each the convolution of the last
+    with itself, up to the largest count's top bit.  Each power is the
+    product of the squares for its set bits, lowest bit first, so it does
+    not depend on the other counts; only the latest square is held.  Every
+    count is checked before any square is built.
+    """
+    counts = tuple(_integer(n, "convolution power n") for n in counts)
+    if any(n < 0 for n in counts):
         raise ValueError("convolution power requires n >= 0")
-    result: LatticeMeasure | None = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else convolve(result, base)
-        n >>= 1
-        if n:
-            base = convolve(base, base)
-    return delta(0) if result is None else result
+    distinct = set(counts)
+    results: dict[int, LatticeMeasure] = {}
+    square = a
+    for j in range(max(distinct, default=0).bit_length()):
+        if j:
+            square = convolve(square, square)
+        for n in distinct:
+            if n >> j & 1:
+                results[n] = convolve(results[n], square) if n in results else square
+    return tuple(results[n] if n else delta(0) for n in counts)
 
 
 @functools.cache

@@ -8,10 +8,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from wsumdist import lattice
+from wsumdist.bounds import BlockSpec, bound_iid
 from wsumdist.cli import _COMMANDS, build_parser
 from wsumdist.harness import (
     EXAMPLE_F,
@@ -28,9 +31,16 @@ from wsumdist.harness import (
     run_nb,
 )
 from wsumdist.lattice import power
-from wsumdist.weighted import WeightBasis, WeightedMeasure, wkolmogorov_distance
+from wsumdist.weighted import (
+    WeightBasis,
+    WeightedMeasure,
+    weighted_sum_distribution,
+    wkolmogorov_distance,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
+SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
 
 
 # The two doors into a config: a JSON payload and the Python constructor.
@@ -249,6 +259,54 @@ class TestRunExample:
         # float() would read "1" and True as weight 1.0.
         with pytest.raises(ValueError, match="weights must be real numbers"):
             run_example((16, 64, 256), weights=("1", True))
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, SQRT2), (1.0, SQRT2, SQRT3)])
+    def test_rows_match_per_n_rebuild(self, weights):
+        # Most block counts here (2, 3, 4, 8, 10, 12, 50, 130 with two
+        # weights) are not powers of two, so their laws are products of
+        # several squares of the shared chain; each row must equal the row
+        # built for its n alone.
+        grid = (3, 10, 50, 130)
+        res = run_example(grid, weights=weights)
+        basis = WeightBasis(weights)
+        for n, got in zip(grid, res.rows, strict=True):
+            sizes = [math.isqrt(n - 1) + 1] + [n] * (len(weights) - 1)
+            if len(weights) == 1:
+                sizes = [n]
+            report = bound_iid(
+                [BlockSpec.iid(EXAMPLE_F, EXAMPLE_G, k, w) for k, w in zip(sizes, weights)],
+                3,
+            )
+            laws = [
+                weighted_sum_distribution(
+                    [(law, k, i + 1) for i, k in enumerate(sizes)], basis
+                )
+                for law in (EXAMPLE_F, EXAMPLE_G)
+            ]
+            distance = wkolmogorov_distance(*laws)
+            components = report.components
+            want = (
+                n,
+                sizes[0],
+                sizes[-1],
+                distance,
+                report.factor,
+                distance / report.factor,
+                *(components[k] for k in sorted(components)),
+            )
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "grid,calls",
+        [((16, 64, 256, 1024), 20), ((16, 64, 256, 1024, 4096, 16384, 65536), 32)],
+    )
+    def test_one_chain_of_squares_per_law(self, grid, calls):
+        # Every block count of these grids is a power of two, so F's and G's
+        # chains of squares make every law; one power per block per row
+        # would take 84 and 210 convolutions.
+        with mock.patch.object(lattice, "convolve", wraps=lattice.convolve) as spy:
+            run_example(grid)
+        assert spy.call_count == calls
 
     def test_per_block_terms(self):
         # a - b = (A1 - B1) x A2 + B1 x (A2 - B2) telescopes the distance

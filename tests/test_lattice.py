@@ -1,12 +1,14 @@
 """Measure-core tests: algebra, norms, transforms, moments, windows."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wsumdist import lattice
 from wsumdist.approximants import build_din
 from wsumdist.lattice import (
     TRIM_RELATIVE,
@@ -25,6 +27,7 @@ from wsumdist.lattice import (
     kolmogorov_norm,
     moments,
     power,
+    powers,
     signed_moments,
     smoothness_u,
     tv_norm,
@@ -540,6 +543,67 @@ def _raw_laws(draw):
 _ANY_MEASURES = st.one_of(
     _raw_laws(), _raw_measures(st.integers(min_value=-8, max_value=8))
 )
+
+
+def _reference_power(a, n):
+    """The binary loop ``power`` ran on its own: squares built as needed,
+    the set-bit squares multiplied in lowest bit first."""
+    result = None
+    base = a
+    while n:
+        if n & 1:
+            result = base if result is None else convolve(result, base)
+        n >>= 1
+        if n:
+            base = convolve(base, base)
+    return delta(0) if result is None else result
+
+
+_EMPTY = LatticeMeasure(np.array([], dtype=np.int64), np.array([]), 1e-15)
+
+
+class TestPowers:
+    """``powers`` shares one chain of squares across its counts, and each
+    power keeps the bits of its own binary loop."""
+
+    @given(
+        st.one_of(_ANY_MEASURES, st.sampled_from([F, G, _EMPTY])),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+    )
+    @example(F, [12, 0, 5, 12, 1, 0, 40])
+    @example(_EMPTY, [3, 0, 3])
+    @example(from_entries({0: -0.5, 2: 1.5}, error_budget=0.25), [7, 2, 7])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_binary_loop(self, a, counts):
+        got = powers(a, counts)
+        assert len(got) == len(counts)
+        for n, law in zip(counts, got):
+            _assert_same_bits(law, _reference_power(a, n))
+            _assert_same_bits(power(a, n), law)
+
+    def test_squares_shared(self):
+        with mock.patch.object(lattice, "convolve", wraps=convolve) as spy:
+            powers(F, (8, 3, 16, 8))
+        # Four squares up to F^16 and one product for F^3.
+        assert spy.call_count == 5
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (-1, "convolution power requires n >= 0"),
+            (True, "convolution power n must be an integer"),
+            (2.7, "convolution power n must be an integer"),
+            (np.float64(2.0), "convolution power n must be an integer"),
+            ("3", "convolution power n must be an integer"),
+        ],
+    )
+    def test_bad_count_raises_before_any_square(self, bad, message):
+        with mock.patch.object(lattice, "convolve", wraps=convolve) as spy:
+            with pytest.raises(ValueError, match=message):
+                powers(F, (1024, 3, bad, 5))
+            with pytest.raises(ValueError, match=message):
+                power(F, bad)
+        assert spy.call_count == 0
 
 
 class TestResultLayout:
