@@ -32,6 +32,7 @@ from .bounds import (
     bound_nb,
 )
 from .lattice import (
+    LatticeMeasure,
     _grid,
     _integer,
     _is_a,
@@ -420,12 +421,9 @@ def run_example(
     prelude["u"] = smoothness_u(f, g)
     prelude["overlap_criterion"] = nu_f[0] - nu_f[1] - nu_f[0] ** 2
 
-    # Each block law is dropped after the last row that uses it.
     grid = _grid(n_grid, "n_grid")
-    last = {size: n for n in grid for size in _block_sizes(n, weights)}
-    counts = tuple(last)
-    f_laws = dict(zip(counts, powers(f, counts)))
-    g_laws = dict(zip(counts, powers(g, counts)))
+    counts = tuple(dict.fromkeys(k for n in grid for k in _block_sizes(n, weights)))
+    laws: list[dict[int, LatticeMeasure]] = []
 
     def row(n: int) -> tuple[Headline, BoundReport]:
         sizes = _block_sizes(n, weights)
@@ -438,11 +436,13 @@ def run_example(
             raise ValueError(
                 "; ".join((f"n={n}: structural factor is 0", *report.warnings))
             )
+        if not laws:
+            # The grid's laws are built at the first row, after its factor
+            # check, so a zero factor raises before any convolution.
+            laws.extend(dict(zip(counts, powers(law, counts))) for law in (f, g))
+        f_laws, g_laws = laws
         s_law = WeightedMeasure(basis, tuple(f_laws[size] for size in sizes))
         z_law = WeightedMeasure(basis, tuple(g_laws[size] for size in sizes))
-        for size in set(sizes):
-            if last[size] == n:
-                del f_laws[size], g_laws[size]
         distance = wkolmogorov_distance(s_law, z_law)
         head = (
             ("n1", sizes[0]),

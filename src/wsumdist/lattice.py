@@ -412,8 +412,9 @@ def powers(a: LatticeMeasure, counts: Iterable[int]) -> tuple[LatticeMeasure, ..
     The squares a^(2^j) are built once, each the convolution of the last
     with itself, up to the largest count's top bit.  Each power is the
     product of the squares for its set bits, lowest bit first, so it does
-    not depend on the other counts; only the latest square is held.  Every
-    count is checked before any square is built.
+    not depend on the other counts.  All the requested powers are held
+    together until the call returns them.  Every count is checked before
+    any square is built.
     """
     counts = tuple(_integer(n, "convolution power n") for n in counts)
     if any(n < 0 for n in counts):

@@ -31,7 +31,7 @@ from .lattice import (
     _sorted_union,
     convolve,
     delta,
-    powers,
+    power,
 )
 
 __all__ = [
@@ -126,13 +126,10 @@ def weighted_sum_distribution(
 
     Each component is ``(f, n, index)``: the summand law ``f`` (a probability
     distribution), the block count ``n >= 1``, and the 1-based weight index.
-    Components that carry the same law object share one chain of squares
-    (:func:`powers`); each weight's terms are convolved in component order.
     """
     if not components:
         raise ValueError("need at least one component")
-    placed = []
-    chains: dict[int, tuple[LatticeMeasure, list[int]]] = {}
+    factors: list[LatticeMeasure | None] = [None] * basis.size
     for f, n, index in components:
         if not f.is_probability:
             raise ValueError("component laws must be probability distributions")
@@ -142,12 +139,7 @@ def weighted_sum_distribution(
         at = _integer(index, "weight index") - 1
         if not 0 <= at < basis.size:
             raise IndexError(f"weight index {at + 1} out of range 1..{basis.size}")
-        placed.append((id(f), at))
-        chains.setdefault(id(f), (f, []))[1].append(n)
-    terms = {key: iter(powers(f, counts)) for key, (f, counts) in chains.items()}
-    factors: list[LatticeMeasure | None] = [None] * basis.size
-    for key, at in placed:
-        term = next(terms[key])
+        term = power(f, n)
         factors[at] = term if factors[at] is None else convolve(factors[at], term)
     return WeightedMeasure(basis, tuple(delta(0) if f is None else f for f in factors))
 

@@ -251,9 +251,14 @@ class TestRunExample:
     def test_zero_factor_raises(self):
         # The fixtures live on {0, ..., 5}, so their order-8 factorial
         # moments vanish and bound_iid's factor at s = 7 is exactly 0.
-        with pytest.raises(ValueError, match="n=16: structural factor is 0") as info:
-            run_example((16,), s=7)
+        # The first row's factor is checked before any law is built.
+        with mock.patch.object(lattice, "convolve", wraps=lattice.convolve) as spy:
+            with pytest.raises(
+                ValueError, match="n=16: structural factor is 0"
+            ) as info:
+                run_example((16, 64, 65536), s=7)
         assert "not matched through order 7" in str(info.value)
+        assert spy.call_count == 0
 
     def test_weights_type_checked(self):
         # float() would read "1" and True as weight 1.0.

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsumdist import lattice, weighted
+from wsumdist import weighted
 from wsumdist.harness import EXAMPLE_F, EXAMPLE_G
 from wsumdist.lattice import (
     LatticeMeasure,
@@ -354,42 +354,6 @@ class TestWeightedSum:
             assert np.array_equal(mine.support, ref.support)
             assert np.array_equal(mine.masses, ref.masses)
             assert mine.error_budget == ref.error_budget
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        weights=st.sampled_from([(1.0,), (1.0, SQRT2), (1.0, SQRT2, SQRT3)]),
-        laws=st.lists(probability_laws(), min_size=1, max_size=3),
-        drawn=st.lists(
-            st.tuples(st.integers(0, 2), st.integers(1, 40), st.integers(1, 3)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    def test_shared_laws_match_per_component_power_fold(self, weights, laws, drawn):
-        # Components that carry one law object share its chain of squares;
-        # each weight still folds its own powers in component order.
-        basis = WeightBasis(weights)
-        components = [
-            (laws[k % len(laws)], n, (i - 1) % basis.size + 1) for k, n, i in drawn
-        ]
-        want = [None] * basis.size
-        for f, n, index in components:
-            term = power(f, n)
-            at = index - 1
-            want[at] = term if want[at] is None else convolve(want[at], term)
-        got = weighted_sum_distribution(components, basis)
-        for mine, ref in zip(got.factors, want, strict=True):
-            ref = delta(0) if ref is None else ref
-            assert mine.support.tobytes() == ref.support.tobytes()
-            assert mine.masses.tobytes() == ref.masses.tobytes()
-            assert mine.error_budget == ref.error_budget
-
-    def test_one_law_on_two_weights_shares_squares(self):
-        # F^4 and F^16 from one chain: four squares, where one power per
-        # component builds two and then four.
-        with mock.patch.object(lattice, "convolve", wraps=convolve) as spy:
-            weighted_sum_distribution([(F, 4, 1), (F, 16, 2)], BASIS)
-        assert spy.call_count == 4
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError, match="weight index 3 out of range 1..2"):
